@@ -311,8 +311,8 @@ def state_from_json(obj, tol: float = DEFAULT_TOL) -> BipartiteState:
         if field not in obj:
             raise ValueError(f"state object: missing field '{field}'")
     dim_a, dim_b = obj["dim_a"], obj["dim_b"]
-    if not isinstance(dim_a, int) or dim_a < 1:
+    if not linalg.is_positive_int(dim_a):
         raise ValueError("field 'dim_a': expected a positive integer")
-    if not isinstance(dim_b, int) or dim_b < 1:
+    if not linalg.is_positive_int(dim_b):
         raise ValueError("field 'dim_b': expected a positive integer")
     return validate_state(linalg.matrix_from_json(obj["matrix"]), dim_a, dim_b, tol)

@@ -65,6 +65,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     eigh,
+    is_positive_int,
     matrix_from_json,
     matrix_to_json,
     numerical_rank,
@@ -189,7 +190,7 @@ def cmd_verify_state(args) -> int:
     obj = _read_json(args.state_file)
     if isinstance(obj, dict) and "matrix" in obj:
         dims = (obj.get("dim_a"), obj.get("dim_b"))
-        if not all(isinstance(d, int) and d >= 1 for d in dims):
+        if not all(is_positive_int(d) for d in dims):
             raise ValueError("state object: fields 'dim_a'/'dim_b' must be positive integers")
         mat = matrix_from_json(obj["matrix"])
     else:
@@ -430,6 +431,16 @@ def _parse_dims(text: str):
     return n, m
 
 
+def _parse_tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}") from exc
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and positive, got {text}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmarginals",
@@ -445,25 +456,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="factor dimensions when the input is a bare matrix")
     p.add_argument("--kraus", default=None, metavar="FILE",
                    help="optional Kraus file to include the two-marginal criterion")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(handler=cmd_verify_state)
 
     p = sub.add_parser("choi", help="composite state of a Kraus file")
     p.add_argument("kraus_file", help="Kraus JSON; - for stdin")
     p.add_argument("-o", "--output", default="-", help="state JSON destination; - for stdout")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
     p.set_defaults(handler=cmd_choi)
 
     p = sub.add_parser("kraus", help="Kraus family reproducing a state file")
     p.add_argument("state_file", help="state JSON; - for stdin")
     p.add_argument("-o", "--output", default="-", help="Kraus JSON destination; - for stdout")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
     p.set_defaults(handler=cmd_kraus)
 
     p = sub.add_parser("extremal-check", help="extremality criteria for a Kraus file")
     p.add_argument("kraus_file", help="Kraus JSON; - for stdin")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(handler=cmd_extremal_check)
 
@@ -477,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-l", default=None, metavar="FILE",
                    help="n x n target for sum V V^dagger (default identity/n)")
     p.add_argument("--max-iter", type=int, default=10000)
-    p.add_argument("--tol", type=float, default=1e-10, help="residual tolerance")
+    p.add_argument("--tol", type=_parse_tol, default=1e-10, help="residual tolerance")
     p.add_argument("--history", type=int, default=0, metavar="N",
                    help="keep only the last N history entries in the output (0 = all)")
     p.add_argument("-o", "--output", default="-",
@@ -487,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_sinkhorn)
 
     p = sub.add_parser("demo", help="verify the bundled qubit-qutrit extremal example")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(handler=cmd_demo)
 
@@ -529,3 +540,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -277,9 +277,9 @@ def kraus_from_json(obj) -> KrausMap:
         if field not in obj:
             raise ValueError(f"kraus object: missing field '{field}'")
     n, m = obj["n"], obj["m"]
-    if not isinstance(n, int) or n < 1:
+    if not linalg.is_positive_int(n):
         raise ValueError("field 'n': expected a positive integer")
-    if not isinstance(m, int) or m < 1:
+    if not linalg.is_positive_int(m):
         raise ValueError("field 'm': expected a positive integer")
     ops_json = obj["ops"]
     if not isinstance(ops_json, list) or not ops_json:

@@ -1,11 +1,13 @@
 """Dense complex matrix kernel.
 
 Everything downstream works with 2-D ``numpy.ndarray`` values of dtype
-complex128.  The eigensolver is a cyclic Jacobi iteration: a compiled
-extension when available, an interchangeable pure-Python twin otherwise
-(set ``QMARGINALS_PURE_PYTHON=1`` to force the fallback).  Jacobi was chosen
-over LAPACK because every matrix here is tiny (dimension <= 64), it is
-deterministic for a fixed input, and its rotation count is easy to audit.
+complex128.  Numerical ranks come from LAPACK singular values
+(``numpy.linalg.svd``).  The Hermitian eigensolver ``eigh`` is a cyclic Jacobi
+iteration: a compiled extension when available, an interchangeable
+pure-Python twin otherwise (set ``QMARGINALS_PURE_PYTHON=1`` to force the
+fallback).  Jacobi serves only ``eigh``: every matrix it sees is tiny
+(dimension <= 64), it is deterministic for a fixed input, and its rotation
+count is easy to audit.
 
 All tolerances are relative and flow in as parameters; ``DEFAULT_TOL`` is the
 single documented default.
@@ -143,26 +145,13 @@ def rank_with_margin(mat: np.ndarray, tol: float = DEFAULT_TOL) -> RankDecision:
 
     Counts singular values above ``tol`` times the largest one, i.e. Gram
     eigenvalues above ``tol^2`` relative; the margins are reported on the
-    Gram (squared) scale.  Singular values come from a Hermitian
-    eigenproblem rather than an explicitly formed product, whose rounding
-    noise (about 1e-15 of the top Gram eigenvalue) would drown the
-    ``tol^2 = 1e-16`` default cutoff: the absolute values of the spectrum
-    for Hermitian input, the symmetric off-diagonal-block embedding
-    otherwise.
+    Gram (squared) scale.  The singular values come from LAPACK
+    (``numpy.linalg.svd``) on the matrix itself, never from an explicitly
+    formed product, whose rounding noise (about 1e-15 of the top Gram
+    eigenvalue) would drown the ``tol^2 = 1e-16`` default cutoff.  A zero
+    matrix has rank 0 with margins ``(None, 0.0)``.
     """
-    mat = as_matrix(mat)
-    rows, cols = mat.shape
-    small = min(rows, cols)
-    scale = max(1.0, frobenius(mat))
-    if rows == cols and frobenius(mat - dagger(mat)) <= 1e-12 * scale:
-        sigmas = np.sort(np.abs(eigh(mat, tol=1e-12).eigenvalues))
-    else:
-        embed = np.zeros((rows + cols, rows + cols), dtype=np.complex128)
-        embed[:rows, rows:] = mat
-        embed[rows:, :rows] = dagger(mat)
-        # spectrum is {+sigma_i, -sigma_i, 0...}: the top block holds the
-        # singular values, ascending
-        sigmas = np.clip(eigh(embed).eigenvalues[-small:], 0.0, None)
+    sigmas = np.linalg.svd(as_matrix(mat), compute_uv=False)[::-1]  # ascending
     sigma_max = float(sigmas[-1])
     if sigma_max <= 0.0:
         return RankDecision(0, None, 0.0)
@@ -223,6 +212,12 @@ def matrix_to_json(mat: np.ndarray) -> dict:
     }
 
 
+def is_positive_int(value) -> bool:
+    """Whether a parsed JSON value is a positive integer; JSON booleans,
+    which Python treats as ints, are not."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def matrix_from_json(obj) -> np.ndarray:
     """Parse the matrix wire format, naming the offending field on error."""
     if not isinstance(obj, dict):
@@ -231,9 +226,9 @@ def matrix_from_json(obj) -> np.ndarray:
         if field not in obj:
             raise ValueError(f"matrix object: missing field '{field}'")
     rows, cols = obj["rows"], obj["cols"]
-    if not isinstance(rows, int) or rows < 1:
+    if not is_positive_int(rows):
         raise ValueError("field 'rows': expected a positive integer")
-    if not isinstance(cols, int) or cols < 1:
+    if not is_positive_int(cols):
         raise ValueError("field 'cols': expected a positive integer")
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != rows * cols:
@@ -246,7 +241,7 @@ def matrix_from_json(obj) -> np.ndarray:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(isinstance(x, (int, float)) for x in pair)
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
         ):
             raise ValueError(f"field 'entries[{k}]': expected an [re, im] number pair")
         flat[k] = complex(pair[0], pair[1])

@@ -14,7 +14,7 @@ test is the search pipeline for new extreme points of fixed-marginals
 state sets (``find_extremal_candidate``).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -31,6 +31,7 @@ from .errors import (
     DimensionMismatch,
     InfeasibleRank,
     NoConvergence,
+    NotPSD,
     SingularScaling,
     TraceNotOne,
 )
@@ -42,7 +43,8 @@ class ScalingConfig:
     """Targets and budget for the alternating scaling iteration.
 
     Both targets must be PSD with unit trace (the marginals of any state
-    are), checked to 1e-12 at construction.
+    are), checked to 1e-12 at construction: ``TraceNotOne`` or ``NotPSD``
+    otherwise.
     """
 
     target_K: np.ndarray  # m x m, for sum V^dagger V
@@ -58,6 +60,12 @@ class ScalingConfig:
             trace = float(np.trace(mat).real)
             if abs(trace - 1.0) > 1e-12:
                 raise TraceNotOne(f"{name} has trace {trace:.12g}, expected 1", trace=trace)
+            lam_min = float(eigh(mat).eigenvalues[0])
+            if lam_min < -1e-12:
+                raise NotPSD(
+                    f"{name} has eigenvalue {lam_min:.3e} below -1e-12",
+                    min_eigenvalue=lam_min,
+                )
             mat = mat.copy()
             mat.setflags(write=False)
             object.__setattr__(self, name, mat)
@@ -68,19 +76,26 @@ class ScalingConfig:
 @dataclass(frozen=True)
 class ScalingReport:
     """Iteration trace: residuals are Frobenius distances of the two
-    operator sums from their targets.  ``history[0]`` is the state of the
-    input family; one entry follows per completed iteration."""
+    operator sums from their targets.  ``history`` is a read-only
+    ``(iterations + 1, 2)`` float64 array of ``(residual_K, residual_L)``
+    rows: row 0 is the state of the input family; one row follows per
+    completed iteration.  Any sequence of pairs is accepted and converted."""
 
     iterations: int
     residual_K: float
     residual_L: float
     converged: bool
-    history: List[Tuple[float, float]] = field(default_factory=list)
+    history: np.ndarray = ()
+
+    def __post_init__(self):
+        history = np.array(self.history, dtype=np.float64).reshape(-1, 2)
+        history.setflags(write=False)
+        object.__setattr__(self, "history", history)
 
     def to_json(self, max_history: int = 0) -> dict:
         """JSON form; ``max_history`` > 0 keeps only the last that many
         history entries (the report value itself is never truncated)."""
-        history = [[float(a), float(b)] for a, b in self.history]
+        history = self.history.tolist()
         if max_history > 0:
             history = history[-max_history:]
         return {

@@ -1,9 +1,11 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here deliberately takes a different route from the package code:
-numpy.linalg for spectra and ranks, bra-ket sums for partial traces, index
-loops for partial transposes, and the definitional double sum for composite
-states.
+numpy.linalg for spectra, bra-ket sums for partial traces, index loops for
+partial transposes, and the definitional double sum for composite states.
+The exception is ``np_rank``: the package also counts singular values from
+LAPACK, so rank checks that do not lean on the same routine live in
+``test_properties.py`` and take their expected ranks from the construction.
 """
 
 import numpy as np

@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qmarginals
 from qmarginals import (
     choi_state,
     extremal_qubit_qutrit_map,
@@ -331,3 +335,114 @@ def test_text_and_json_agree_on_values(example_state_file, capsys):
     assert report["ppt"]["verdict"] in text
     # six-significant-digit rendering of the most negative PT eigenvalue
     assert f"{report['ppt']['min_eigenvalue']:.6g}" in text
+
+
+# ---------------------------------------------------------------------------
+# malformed input: exit 2 with a one-line error, never a traceback
+
+
+def _assert_one_line_error(capsys, usage=False):
+    """Input errors print one ``error:`` line; argparse puts its usage text
+    above it."""
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    if usage:
+        assert lines[0].startswith("usage: qmarginals")
+        assert lines[-1].startswith("qmarginals") and ": error: " in lines[-1]
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+def _state_doc():
+    return state_to_json(choi_state(extremal_qubit_qutrit_map()))
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda doc: doc["matrix"].update(rows=True),
+        lambda doc: doc["matrix"].update(cols=True),
+        lambda doc: doc["matrix"]["entries"].__setitem__(0, [True, 0.0]),
+        lambda doc: doc["matrix"]["entries"].__setitem__(1, [0.0, False]),
+        lambda doc: doc.update(dim_a=True),
+        lambda doc: doc.update(dim_b=True),
+    ],
+    ids=["rows", "cols", "entry-re", "entry-im", "dim_a", "dim_b"],
+)
+def test_verify_state_rejects_json_booleans(tmp_path, capsys, corrupt):
+    doc = _state_doc()
+    corrupt(doc)
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify-state", str(path), "--json"]) == 2
+    _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "command, field",
+    [("kraus", "dim_a"), ("kraus", "dim_b"), ("choi", "n"), ("extremal-check", "m")],
+)
+def test_state_and_kraus_parsers_reject_json_booleans(tmp_path, capsys, command, field):
+    if command == "kraus":
+        doc = _state_doc()
+    else:
+        doc = kraus_to_json(extremal_qubit_qutrit_map())
+    doc[field] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 2
+    _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "-inf", "abc"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["demo"],
+        ["verify-state", "-"],
+        ["choi", "-"],
+        ["kraus", "-"],
+        ["extremal-check", "-"],
+        ["sinkhorn", "--n", "2", "--m", "3", "--r", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_tol_must_be_finite_and_positive(capsys, argv, tol):
+    assert main(argv + ["--tol", tol]) == 2
+    _assert_one_line_error(capsys, usage=True)
+
+
+def test_tol_accepts_small_positive_values(capsys):
+    assert main(["demo", "--tol", "1e-9"]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+
+
+def test_sinkhorn_rejects_non_psd_target(tmp_path, capsys):
+    from qmarginals import matrix_to_json
+
+    target_l = tmp_path / "l.json"
+    target_l.write_text(json.dumps(matrix_to_json(np.diag([1.5, -0.5]))))
+    argv = ["sinkhorn", "--n", "2", "--m", "3", "--r", "2", "--target-l", str(target_l)]
+    assert main(argv) == 1
+    assert "target_L has eigenvalue" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# module entry point
+
+
+def test_module_entry_point_runs_demo():
+    src_dir = os.path.dirname(os.path.dirname(qmarginals.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmarginals.cli", "demo"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "all checks passed" in proc.stdout

@@ -4,7 +4,9 @@ import pytest
 from qmarginals import (
     InfeasibleRank,
     NoConvergence,
+    NotPSD,
     ScalingConfig,
+    ScalingReport,
     SingularScaling,
     TraceNotOne,
     check_rank_bound,
@@ -35,6 +37,19 @@ UNIFORM_23 = uniform_targets(2, 3)
 def test_config_requires_unit_trace_targets():
     with pytest.raises(TraceNotOne):
         ScalingConfig(np.eye(3, dtype=complex), np.eye(2, dtype=complex) / 2)
+
+
+def test_config_rejects_non_psd_targets():
+    with pytest.raises(NotPSD) as info:
+        ScalingConfig(np.diag([1.5, -0.5]).astype(complex), np.eye(2, dtype=complex) / 2)
+    assert info.value.min_eigenvalue == pytest.approx(-0.5)
+    with pytest.raises(NotPSD):
+        ScalingConfig(np.eye(3, dtype=complex) / 3, np.diag([1.25, -0.25]).astype(complex))
+
+
+def test_config_accepts_rank_deficient_targets():
+    config = ScalingConfig(np.diag([1.0, 0.0, 0.0]).astype(complex), np.eye(2) / 2)
+    assert config.target_K.shape == (3, 3)
 
 
 def test_random_kraus_normalization_and_determinism():
@@ -160,6 +175,17 @@ def test_budget_exhaustion_carries_report():
     assert report.iterations == 2
     assert len(report.history) == 3  # initial residuals plus one per iteration
     assert info.value.kraus is not None
+
+
+def test_report_history_is_read_only_array():
+    _, report = sinkhorn_scale(random_kraus(2, 3, 2, 1), UNIFORM_23)
+    history = report.history
+    assert history.dtype == np.float64
+    assert history.shape == (report.iterations + 1, 2)
+    assert tuple(history[-1]) == (report.residual_K, report.residual_L)
+    with pytest.raises(ValueError):
+        history[0, 0] = 0.0
+    assert ScalingReport(0, 0.0, 0.0, True).history.shape == (0, 2)
 
 
 def test_report_history_truncation_only_in_json():
