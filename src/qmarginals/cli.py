@@ -295,6 +295,8 @@ def cmd_sinkhorn(args) -> int:
         raise ValueError("--r must be at least 1")
     if args.n < 1 or args.m < 1:
         raise ValueError("--n and --m must be at least 1")
+    if args.history < 0:
+        raise ValueError("--history must be 0 or more")
     target_k = (
         matrix_from_json(_read_json(args.target_k))
         if args.target_k

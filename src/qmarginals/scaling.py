@@ -9,13 +9,22 @@ there is no convergence theorem behind it, so budget exhaustion raises
 ``NoConvergence`` with the full residual history attached rather than
 returning a silently truncated family.
 
+The iteration holds the family as one complex ``(r, n, m)`` array and never
+forms a sum to diagonalise it.  The rn x m column stack A of the operators
+has A^dagger A = sum V^dagger V, and the n x rm row stack B has
+B B^dagger = sum V V^dagger, so the inverse root each half-step needs comes
+from the singular vectors of one thin LAPACK SVD (``numpy.linalg.svd``).
+A squared singular value counts as support when it exceeds
+``tol * max(1, sigma_max^2)``, the rule applied to the eigenvalues of the
+targets.
+
 Feeding converged candidates through the doubly-constrained extremality
 test is the search pipeline for new extreme points of fixed-marginals
 state sets (``find_extremal_candidate``).
 """
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -35,7 +44,7 @@ from .errors import (
     SingularScaling,
     TraceNotOne,
 )
-from .linalg import DEFAULT_TOL, as_matrix, dagger, eigh, frobenius
+from .linalg import DEFAULT_TOL, as_matrix, dagger, eigh, frobenius, is_positive_int
 
 
 @dataclass(frozen=True)
@@ -44,7 +53,9 @@ class ScalingConfig:
 
     Both targets must be PSD with unit trace (the marginals of any state
     are), checked to 1e-12 at construction: ``TraceNotOne`` or ``NotPSD``
-    otherwise.
+    otherwise.  ``max_iter`` must be a positive integer and ``residual_tol``
+    finite and positive (``ValueError`` otherwise): a NaN tolerance would
+    pass vacuously and a zero one could never be met.
     """
 
     target_K: np.ndarray  # m x m, for sum V^dagger V
@@ -53,6 +64,12 @@ class ScalingConfig:
     residual_tol: float = 1e-10
 
     def __post_init__(self):
+        if not is_positive_int(self.max_iter):
+            raise ValueError(f"max_iter must be a positive integer, got {self.max_iter!r}")
+        if not (np.isfinite(self.residual_tol) and self.residual_tol > 0):
+            raise ValueError(
+                f"residual_tol must be finite and positive, got {self.residual_tol!r}"
+            )
         for name, target in (("target_K", self.target_K), ("target_L", self.target_L)):
             mat = as_matrix(target)
             if mat.shape[0] != mat.shape[1]:
@@ -69,8 +86,6 @@ class ScalingConfig:
             mat = mat.copy()
             mat.setflags(write=False)
             object.__setattr__(self, name, mat)
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
 
 
 @dataclass(frozen=True)
@@ -79,7 +94,8 @@ class ScalingReport:
     operator sums from their targets.  ``history`` is a read-only
     ``(iterations + 1, 2)`` float64 array of ``(residual_K, residual_L)``
     rows: row 0 is the state of the input family; one row follows per
-    completed iteration.  Any sequence of pairs is accepted and converted."""
+    completed iteration.  A read-only float64 array of that shape is adopted
+    as it is; any other sequence of pairs is copied into one."""
 
     iterations: int
     residual_K: float
@@ -88,9 +104,18 @@ class ScalingReport:
     history: np.ndarray = ()
 
     def __post_init__(self):
-        history = np.array(self.history, dtype=np.float64).reshape(-1, 2)
-        history.setflags(write=False)
-        object.__setattr__(self, "history", history)
+        history = self.history
+        adoptable = (
+            isinstance(history, np.ndarray)
+            and history.dtype == np.float64
+            and history.ndim == 2
+            and history.shape[1] == 2
+            and not history.flags.writeable
+        )
+        if not adoptable:
+            history = np.array(history, dtype=np.float64).reshape(-1, 2)
+            history.setflags(write=False)
+            object.__setattr__(self, "history", history)
 
     def to_json(self, max_history: int = 0) -> dict:
         """JSON form; ``max_history`` > 0 keeps only the last that many
@@ -120,13 +145,14 @@ def random_kraus(n: int, m: int, r: int, seed: int) -> KrausMap:
     return KrausMap(n, m, tuple(op * scale for op in ops))
 
 
-def _marginal_sums(ops, n: int, m: int) -> Tuple[np.ndarray, np.ndarray]:
-    sum_k = np.zeros((m, m), dtype=np.complex128)
-    sum_l = np.zeros((n, n), dtype=np.complex128)
-    for op in ops:
-        sum_k += dagger(op) @ op
-        sum_l += op @ dagger(op)
-    return sum_k, sum_l
+def _residuals(family: np.ndarray, target_K, target_L) -> Tuple[float, float]:
+    """Residuals of an ``(r, n, m)`` family, with sum V^dagger V formed as
+    A^dagger A of its rn x m column stack A and sum V V^dagger as B B^dagger
+    of its n x rm row stack B."""
+    r, n, m = family.shape
+    cols = family.reshape(r * n, m)
+    rows = family.transpose(1, 0, 2).reshape(n, r * m)
+    return frobenius(dagger(cols) @ cols - target_K), frobenius(rows @ dagger(rows) - target_L)
 
 
 def residuals(kmap: KrausMap, target_K, target_L) -> Tuple[float, float]:
@@ -141,23 +167,33 @@ def residuals(kmap: KrausMap, target_K, target_L) -> Tuple[float, float]:
         raise DimensionMismatch(
             f"target_L is {target_L.shape}, expected ({kmap.n}, {kmap.n})"
         )
-    sum_k, sum_l = _marginal_sums(kmap.ops, kmap.n, kmap.m)
-    return frobenius(sum_k - target_K), frobenius(sum_l - target_L)
+    return _residuals(np.stack(kmap.ops), target_K, target_L)
 
 
-def _sqrt_and_inv_sqrt(mat: np.ndarray, tol: float) -> Tuple[np.ndarray, np.ndarray, int]:
-    """One eigendecomposition serving the root, the pseudo-inverse root and
-    the support rank of a PSD matrix."""
+def _sqrt_and_rank(mat: np.ndarray, tol: float) -> Tuple[np.ndarray, int]:
+    """Principal root and support rank of a PSD target from one
+    eigendecomposition; eigenvalues above ``tol * max(1, lambda_max)`` count
+    as support."""
     values, vectors = eigh(mat, tol)
     values = np.clip(values, 0.0, None)
-    lam_max = float(values[-1])
-    support = values > tol * max(1.0, lam_max)
-    roots = np.sqrt(values)
-    inv_roots = np.zeros_like(values)
-    inv_roots[support] = 1.0 / roots[support]
-    sqrt_mat = (vectors * roots) @ dagger(vectors)
-    inv_sqrt_mat = (vectors * inv_roots) @ dagger(vectors)
-    return sqrt_mat, inv_sqrt_mat, int(np.count_nonzero(support))
+    support = values > tol * max(1.0, float(values[-1]))
+    sqrt_mat = (vectors * np.sqrt(values)) @ dagger(vectors)
+    return sqrt_mat, int(np.count_nonzero(support))
+
+
+def _gram_inv_sqrt(
+    vectors: np.ndarray, sigmas: np.ndarray, tol: float
+) -> Tuple[np.ndarray, int]:
+    """Pseudo-inverse root W diag(1/sigma) W^dagger of the Gram matrix
+    W diag(sigma^2) W^dagger, given singular values and the matching
+    singular vectors, with its support rank.  ``sigma^2`` counts as support
+    above ``tol * max(1, sigma_max^2)``, as eigenvalues do in
+    ``_sqrt_and_rank``."""
+    grams = sigmas * sigmas
+    support = grams > tol * max(1.0, float(grams[0]))
+    inv_roots = np.zeros_like(sigmas)
+    inv_roots[support] = 1.0 / sigmas[support]
+    return (vectors * inv_roots) @ dagger(vectors), int(np.count_nonzero(support))
 
 
 def sinkhorn_scale(
@@ -170,63 +206,75 @@ def sinkhorn_scale(
     equal K on its support.  Left step: V <- L^(1/2) (sum V V^dagger)^(-1/2) V.
     A family already at its targets returns unchanged after zero iterations.
 
+    The family is one ``(r, n, m)`` array.  Each inverse root comes from the
+    thin SVD of a stack of the family: the rn x m column stack for the right
+    step, the n x rm row stack for the left step.  Support is decided on the
+    squared singular values, ``sigma^2 > tol * max(1, sigma_max^2)``.  The
+    residual history is written into a float64 array that doubles when full,
+    so a large ``max_iter`` costs nothing up front, and is trimmed once into
+    the report's read-only ``history``.
+
     Raises ``SingularScaling`` as soon as an intermediate sum has smaller
     support than its target (the scaling can then never reach it), and
     ``NoConvergence`` -- carrying the report and the partially scaled family
     -- when the budget runs out.
     """
+    n, m, r = kmap.n, kmap.m, kmap.r
     target_K = as_matrix(config.target_K)
     target_L = as_matrix(config.target_L)
-    if target_K.shape != (kmap.m, kmap.m) or target_L.shape != (kmap.n, kmap.n):
+    if target_K.shape != (m, m) or target_L.shape != (n, n):
         raise DimensionMismatch(
             f"targets of shapes {target_K.shape}, {target_L.shape} do not match a "
-            f"({kmap.n}, {kmap.m}) family"
+            f"({n}, {m}) family"
         )
-    sqrt_k, _, rank_k = _sqrt_and_inv_sqrt(target_K, tol)
-    sqrt_l, _, rank_l = _sqrt_and_inv_sqrt(target_L, tol)
+    sqrt_k, rank_k = _sqrt_and_rank(target_K, tol)
+    sqrt_l, rank_l = _sqrt_and_rank(target_L, tol)
 
-    def current_residuals(ops):
-        sum_k, sum_l = _marginal_sums(ops, kmap.n, kmap.m)
-        return frobenius(sum_k - target_K), frobenius(sum_l - target_L)
-
-    ops = list(kmap.ops)
-    res_k, res_l = current_residuals(ops)
-    history: List[Tuple[float, float]] = [(res_k, res_l)]
+    family = np.stack(kmap.ops)
+    res_k, res_l = _residuals(family, target_K, target_L)
+    history = np.empty((64, 2))
+    history[0] = res_k, res_l
 
     iterations = 0
-    while max(res_k, res_l) > config.residual_tol:
-        if iterations >= config.max_iter:
-            report = ScalingReport(iterations, res_k, res_l, False, history)
-            raise NoConvergence(
-                f"residuals ({res_k:.3e}, {res_l:.3e}) above {config.residual_tol:.1e} "
-                f"after {iterations} iterations",
-                report=report,
-                kraus=KrausMap(kmap.n, kmap.m, tuple(ops)),
-            )
-        sum_k, _ = _marginal_sums(ops, kmap.n, kmap.m)
-        _, inv_sqrt_sk, rank_sk = _sqrt_and_inv_sqrt(sum_k, tol)
+    while max(res_k, res_l) > config.residual_tol and iterations < config.max_iter:
+        _, sigmas, vh = np.linalg.svd(family.reshape(r * n, m), full_matrices=False)
+        inv_sqrt_sk, rank_sk = _gram_inv_sqrt(dagger(vh), sigmas, tol)
         if rank_sk < rank_k:
             raise SingularScaling(
                 f"sum V^dagger V has rank {rank_sk}, below the target rank {rank_k}"
             )
-        right = inv_sqrt_sk @ sqrt_k
-        ops = [op @ right for op in ops]
+        family = family @ (inv_sqrt_sk @ sqrt_k)
 
-        _, sum_l = _marginal_sums(ops, kmap.n, kmap.m)
-        _, inv_sqrt_sl, rank_sl = _sqrt_and_inv_sqrt(sum_l, tol)
+        u, sigmas, _ = np.linalg.svd(
+            family.transpose(1, 0, 2).reshape(n, r * m), full_matrices=False
+        )
+        inv_sqrt_sl, rank_sl = _gram_inv_sqrt(u, sigmas, tol)
         if rank_sl < rank_l:
             raise SingularScaling(
                 f"sum V V^dagger has rank {rank_sl}, below the target rank {rank_l}"
             )
-        left = sqrt_l @ inv_sqrt_sl
-        ops = [left @ op for op in ops]
+        family = (sqrt_l @ inv_sqrt_sl) @ family
 
         iterations += 1
-        res_k, res_l = current_residuals(ops)
-        history.append((res_k, res_l))
+        res_k, res_l = _residuals(family, target_K, target_L)
+        if iterations == len(history):
+            history = np.concatenate([history, np.empty_like(history)])
+        history[iterations] = res_k, res_l
 
-    scaled = KrausMap(kmap.n, kmap.m, tuple(ops))
-    return scaled, ScalingReport(iterations, res_k, res_l, True, history)
+    # trim once; the report adopts this array, so no other copy stays alive
+    history = history[: iterations + 1].copy()
+    history.setflags(write=False)
+    converged = max(res_k, res_l) <= config.residual_tol
+    report = ScalingReport(iterations, res_k, res_l, converged, history)
+    scaled = KrausMap(n, m, tuple(family))
+    if not converged:
+        raise NoConvergence(
+            f"residuals ({res_k:.3e}, {res_l:.3e}) above {config.residual_tol:.1e} "
+            f"after {iterations} iterations",
+            report=report,
+            kraus=scaled,
+        )
+    return scaled, report
 
 
 def find_extremal_candidate(

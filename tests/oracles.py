@@ -2,7 +2,9 @@
 
 Everything here deliberately takes a different route from the package code:
 numpy.linalg for spectra, bra-ket sums for partial traces, index loops for
-partial transposes, and the definitional double sum for composite states.
+partial transposes, the definitional double sum for composite states, and
+operator Sinkhorn scaling through eigendecompositions of formed sums where
+the package takes SVDs of stacked operators.
 The exception is ``np_rank``: the package also counts singular values from
 LAPACK, so rank checks that do not lean on the same routine live in
 ``test_properties.py`` and take their expected ranks from the construction.
@@ -109,3 +111,50 @@ def random_psd(rng, dim, rank=None):
     rank = dim if rank is None else rank
     g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     return g @ g.conj().T
+
+
+def _np_root_and_inv_root(mat, tol):
+    """Root, pseudo-inverse root and support rank of a PSD matrix from
+    numpy.linalg.eigh; eigenvalues above tol * max(1, lambda_max) count as
+    support."""
+    w, u = np.linalg.eigh(mat)
+    w = np.clip(w, 0.0, None)
+    support = w > tol * max(1.0, w[-1])
+    inv = np.zeros_like(w)
+    inv[support] = 1.0 / np.sqrt(w[support])
+    return (u * np.sqrt(w)) @ u.conj().T, (u * inv) @ u.conj().T, int(support.sum())
+
+
+def sinkhorn_by_eigh(ops, target_k, target_l, max_iter, residual_tol=1e-10, tol=1e-8):
+    """Operator Sinkhorn scaling over a list of operators, with each inverse
+    root taken from numpy.linalg.eigh of the explicitly formed sum.
+
+    Returns ``(outcome, iterations, ops)`` with outcome "converged",
+    "no_convergence" or "singular"; ``ops`` is None for "singular".
+    """
+    ops = [np.asarray(op, dtype=complex) for op in ops]
+    target_k = np.asarray(target_k, dtype=complex)
+    target_l = np.asarray(target_l, dtype=complex)
+    sqrt_k, _, rank_k = _np_root_and_inv_root(target_k, tol)
+    sqrt_l, _, rank_l = _np_root_and_inv_root(target_l, tol)
+
+    def off_target(ops):
+        sum_k = sum(op.conj().T @ op for op in ops)
+        sum_l = sum(op @ op.conj().T for op in ops)
+        worst = max(np.linalg.norm(sum_k - target_k), np.linalg.norm(sum_l - target_l))
+        return worst > residual_tol
+
+    iterations = 0
+    while off_target(ops):
+        if iterations == max_iter:
+            return "no_convergence", iterations, ops
+        _, inv_sk, rank_sk = _np_root_and_inv_root(sum(op.conj().T @ op for op in ops), tol)
+        if rank_sk < rank_k:
+            return "singular", iterations, None
+        ops = [op @ inv_sk @ sqrt_k for op in ops]
+        _, inv_sl, rank_sl = _np_root_and_inv_root(sum(op @ op.conj().T for op in ops), tol)
+        if rank_sl < rank_l:
+            return "singular", iterations, None
+        ops = [sqrt_l @ inv_sl @ op for op in ops]
+        iterations += 1
+    return "converged", iterations, ops

@@ -297,6 +297,12 @@ def test_sinkhorn_history_truncation(tmp_path):
     assert doc["report"]["iterations"] > 4
 
 
+def test_sinkhorn_rejects_negative_history(capsys):
+    argv = ["sinkhorn", "--n", "2", "--m", "3", "--r", "2", "--history", "-5"]
+    assert main(argv) == 2
+    _assert_one_line_error(capsys)
+
+
 def test_sinkhorn_custom_targets(tmp_path):
     from qmarginals import matrix_to_json
 

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import sinkhorn_by_eigh
 
 from qmarginals import (
     InfeasibleRank,
+    KrausMap,
     NoConvergence,
     NotPSD,
     ScalingConfig,
@@ -45,6 +49,18 @@ def test_config_rejects_non_psd_targets():
     assert info.value.min_eigenvalue == pytest.approx(-0.5)
     with pytest.raises(NotPSD):
         ScalingConfig(np.eye(3, dtype=complex) / 3, np.diag([1.25, -0.25]).astype(complex))
+
+
+@pytest.mark.parametrize("residual_tol", [float("nan"), float("inf"), 0.0, -1e-10])
+def test_config_rejects_unusable_residual_tol(residual_tol):
+    with pytest.raises(ValueError, match="residual_tol"):
+        ScalingConfig(np.eye(3) / 3, np.eye(2) / 2, residual_tol=residual_tol)
+
+
+@pytest.mark.parametrize("max_iter", [0, -3, 2.5, True])
+def test_config_rejects_non_positive_integer_max_iter(max_iter):
+    with pytest.raises(ValueError, match="max_iter"):
+        ScalingConfig(np.eye(3) / 3, np.eye(2) / 2, max_iter=max_iter)
 
 
 def test_config_accepts_rank_deficient_targets():
@@ -196,6 +212,133 @@ def test_report_history_truncation_only_in_json():
     assert len(doc_cut["history"]) == 5
     assert doc_cut["history"] == doc_full["history"][-5:]
     assert len(report.history) > 5  # the value itself stays complete
+
+
+def test_report_adopts_read_only_history_without_copy():
+    history = np.zeros((3, 2))
+    history.setflags(write=False)
+    assert ScalingReport(2, 0.0, 0.0, True, history).history is history
+    writable = np.zeros((3, 2))
+    copied = ScalingReport(2, 0.0, 0.0, True, writable).history
+    assert copied is not writable and not copied.flags.writeable
+
+
+def test_exhausted_budget_report_holds_the_trimmed_history():
+    uniform = uniform_targets(3, 3)
+    config = ScalingConfig(uniform.target_K, uniform.target_L, max_iter=100)
+    with pytest.raises(NoConvergence) as info:
+        sinkhorn_scale(random_kraus(3, 3, 3, 2), config)  # needs 153 iterations
+    history = info.value.report.history
+    assert history.shape == (101, 2) and history.base is None
+
+
+def test_huge_budget_is_not_preallocated():
+    config = ScalingConfig(UNIFORM_23.target_K, UNIFORM_23.target_L, max_iter=10**12)
+    _, report = sinkhorn_scale(random_kraus(2, 3, 2, 3), config)
+    assert report.converged
+    assert report.history.shape == (report.iterations + 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# agreement with an independent eigh-based reference
+
+
+def _density(rng, d):
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def _targets(n, m, skewed, seed):
+    if not skewed:
+        return np.eye(m) / m, np.eye(n) / n
+    rng = np.random.default_rng([seed, n, m])
+    return (
+        0.5 * _density(rng, m) + 0.5 * np.eye(m) / m,
+        0.5 * _density(rng, n) + 0.5 * np.eye(n) / n,
+    )
+
+
+def _outcome(kmap, config):
+    try:
+        scaled, report = sinkhorn_scale(kmap, config)
+        return "converged", report.iterations, np.stack(scaled.ops)
+    except NoConvergence as exc:
+        return "no_convergence", exc.report.iterations, np.stack(exc.kraus.ops)
+    except SingularScaling:
+        return "singular", None, None
+
+
+@pytest.mark.parametrize("skewed", [False, True], ids=["uniform", "skewed"])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "shape", [(2, 3, 2), (3, 3, 3), (4, 4, 4), (2, 2, 1), (3, 2, 2), (1, 3, 2)]
+)
+def test_scaling_matches_eigh_reference(shape, seed, skewed):
+    n, m, r = shape
+    target_k, target_l = _targets(n, m, skewed, seed)
+    kmap = random_kraus(n, m, r, seed)
+    kind, iterations, family = _outcome(kmap, ScalingConfig(target_k, target_l, max_iter=500))
+    ref_kind, ref_iterations, ref_ops = sinkhorn_by_eigh(kmap.ops, target_k, target_l, 500)
+    assert kind == ref_kind
+    if kind != "singular":
+        assert iterations == ref_iterations
+        assert np.abs(family - np.stack(ref_ops)).max() <= 1e-11
+
+
+@pytest.mark.parametrize("column_scale, singular", [(1e-3, False), (1e-5, True)])
+def test_support_cutoff_is_on_squared_singular_values(column_scale, singular):
+    # shrinking one column gives sum V^dagger V an eigenvalue near
+    # column_scale^2, on either side of the 1e-8 support cutoff
+    family = np.stack(random_kraus(2, 3, 2, 7).ops)
+    family[:, :, 2] *= column_scale
+    kmap = KrausMap(2, 3, tuple(family))
+    kind, iterations, _ = _outcome(kmap, UNIFORM_23)
+    ref_kind, ref_iterations, _ = sinkhorn_by_eigh(
+        kmap.ops, UNIFORM_23.target_K, UNIFORM_23.target_L, 10000
+    )
+    assert kind == ref_kind == ("singular" if singular else "converged")
+    if not singular:
+        assert iterations == ref_iterations
+
+
+SCALING_SETTINGS = settings(deadline=None, derandomize=True, max_examples=40)
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@SCALING_SETTINGS
+@given(
+    shape=st.sampled_from([(2, 3, 2), (3, 3, 3), (2, 2, 2), (3, 2, 2)]),
+    seed=SEEDS,
+    mix_seed=SEEDS,
+)
+def test_scaling_commutes_with_mixing(shape, seed, mix_seed):
+    n, m, r = shape
+    config = uniform_targets(n, m)
+    kmap = random_kraus(n, m, r, seed)
+    u = sampling.random_unitary(sampling.generator(mix_seed), r)
+    scaled, report = sinkhorn_scale(kmap, config)
+    scaled_mixed, report_mixed = sinkhorn_scale(mix_ops(kmap, u), config)
+    assert report_mixed.iterations == report.iterations
+    expected = np.stack(mix_ops(scaled, u).ops)
+    assert np.abs(np.stack(scaled_mixed.ops) - expected).max() <= 1e-10
+
+
+@st.composite
+def short_families(draw):
+    """(n, m, r) with r n < m: sum V^dagger V has rank below m."""
+    n = draw(st.integers(1, 3))
+    r = draw(st.integers(1, 3))
+    m = draw(st.integers(r * n + 1, r * n + 3))
+    return n, m, r
+
+
+@SCALING_SETTINGS
+@given(shape=short_families(), seed=SEEDS)
+def test_too_few_operators_always_raise_singular_scaling(shape, seed):
+    n, m, r = shape
+    with pytest.raises(SingularScaling):
+        sinkhorn_scale(random_kraus(n, m, r, seed), uniform_targets(n, m))
 
 
 # ---------------------------------------------------------------------------
