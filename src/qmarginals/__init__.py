@@ -71,7 +71,6 @@ from .linalg import (
     HermitianEigen,
     RankDecision,
     eigh,
-    jacobi_backend,
     kron,
     matrix_from_json,
     matrix_to_json,
@@ -98,7 +97,6 @@ __all__ = [
     "HermitianEigen",
     "RankDecision",
     "eigh",
-    "jacobi_backend",
     "kron",
     "matrix_from_json",
     "matrix_to_json",

@@ -43,6 +43,7 @@ from .cpmaps import (
     KrausMap,
     choi_extremality,
     choi_state,
+    choi_vector,
     doubly_constrained_extremality,
     extremal_qubit_qutrit_map,
     kraus_from_json,
@@ -65,6 +66,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     eigh,
+    frobenius,
     is_positive_int,
     matrix_from_json,
     matrix_to_json,
@@ -130,6 +132,19 @@ def _fmt_matrix(mat: np.ndarray, indent: str = "  ") -> str:
 
 # ---------------------------------------------------------------------------
 # verify-state
+
+
+def _check_family_reproduces(kmap: KrausMap, state: BipartiteState, tol: float) -> None:
+    """Refuse a Kraus family whose composite state differs from ``state`` by
+    more than ``tol * max(1, ||state||_F)`` in the Frobenius norm."""
+    vectors = np.array([choi_vector(op) for op in kmap.ops])
+    deviation = frobenius(vectors.T @ vectors.conj() - state.mat)
+    limit = tol * max(1.0, frobenius(state.mat))
+    if deviation > limit:
+        raise ValueError(
+            f"Kraus family does not reproduce the state: its composite state "
+            f"differs by {deviation:.3e} (limit {limit:.3e})"
+        )
 
 
 def _analyze_state(state: BipartiteState, tol: float, kmap: Optional[KrausMap]) -> dict:
@@ -201,6 +216,12 @@ def cmd_verify_state(args) -> int:
         dims = args.dims
         mat = matrix_from_json(obj)
 
+    kmap = _load_kraus(args.kraus) if args.kraus else None
+    if kmap is not None and (kmap.n, kmap.m) != tuple(dims):
+        raise ValueError(
+            f"Kraus family is {kmap.n} x {kmap.m} but the state is on "
+            f"{dims[0]} x {dims[1]} factors"
+        )
     violations = state_violations(mat, dims[0], dims[1], args.tol)
     report = {
         "tolerance": args.tol,
@@ -209,9 +230,10 @@ def cmd_verify_state(args) -> int:
         "valid": not violations,
         "violations": [v.to_json() for v in violations],
     }
-    kmap = _load_kraus(args.kraus) if args.kraus else None
     if not violations:
         state = BipartiteState(dims[0], dims[1], mat)
+        if kmap is not None:
+            _check_family_reproduces(kmap, state, args.tol)
         report.update(_analyze_state(state, args.tol, kmap))
 
     def render(rep: dict) -> str:

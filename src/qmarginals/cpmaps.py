@@ -22,7 +22,7 @@ properties.
 """
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -70,15 +70,15 @@ class ExtremalityReport:
     """Verdict of a linear-independence rank test over an operator family.
 
     ``stacked_rank`` is the numerical rank of the r^2 stacked product rows;
-    the family is independent (and the map extreme in the corresponding
-    convex set) exactly when it reaches ``family_size``.  ``margin`` keeps
-    the Gram eigenvalues bracketing the rank cutoff for auditability.
+    the family is independent, and ``verdict`` says the map is extreme in
+    the corresponding convex set, exactly when it reaches ``family_size``.
+    ``margin`` keeps the Gram eigenvalues bracketing the rank cutoff for
+    auditability.
     """
 
     criterion: str
     family_size: int
     stacked_rank: int
-    independent: bool
     verdict: bool
     margin: RankDecision
 
@@ -87,7 +87,6 @@ class ExtremalityReport:
             "criterion": self.criterion,
             "family_size": self.family_size,
             "stacked_rank": self.stacked_rank,
-            "independent": self.independent,
             "verdict": self.verdict,
             "margin": {
                 "smallest_retained": self.margin.smallest_retained,
@@ -168,19 +167,27 @@ def choi_state(kmap: KrausMap, tol: float = DEFAULT_TOL) -> BipartiteState:
     return validate_state(mat, kmap.n, kmap.m, tol)
 
 
-def _stacked_rank(rows: Sequence[np.ndarray], tol: float) -> RankDecision:
-    return rank_with_margin(np.array(rows), tol)
+def _independence_report(
+    criterion: str,
+    kmap: KrausMap,
+    row: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    tol: float,
+) -> ExtremalityReport:
+    """Rank test on the r^2 rows ``row(V_i, V_j)``: the family is
+    independent exactly when the stacked rows have full rank r^2."""
+    ops = kmap.ops
+    rows = np.array([row(ops[i], ops[j]) for i in range(kmap.r) for j in range(kmap.r)])
+    decision = rank_with_margin(rows, tol)
+    return ExtremalityReport(
+        criterion, kmap.r**2, decision.rank, decision.rank == kmap.r**2, decision
+    )
 
 
 def choi_extremality(kmap: KrausMap, tol: float = DEFAULT_TOL) -> ExtremalityReport:
     """Extremality among CP maps with the same value on the identity:
     rank test on the r^2 products V_i^dagger V_j stacked as rows."""
-    ops = kmap.ops
-    rows = [np.ravel(dagger(ops[i]) @ ops[j]) for i in range(kmap.r) for j in range(kmap.r)]
-    decision = _stacked_rank(rows, tol)
-    independent = decision.rank == kmap.r**2
-    return ExtremalityReport(
-        CRITERION_CHOI, kmap.r**2, decision.rank, independent, independent, decision
+    return _independence_report(
+        CRITERION_CHOI, kmap, lambda vi, vj: np.ravel(dagger(vi) @ vj), tol
     )
 
 
@@ -195,23 +202,11 @@ def doubly_constrained_extremality(
     independent.  Coefficients live over the complex field, so the rank is
     computed there.
     """
-    ops = kmap.ops
-    rows = [
-        np.concatenate(
-            [np.ravel(dagger(ops[i]) @ ops[j]), np.ravel(ops[j] @ dagger(ops[i]))]
-        )
-        for i in range(kmap.r)
-        for j in range(kmap.r)
-    ]
-    decision = _stacked_rank(rows, tol)
-    independent = decision.rank == kmap.r**2
-    return ExtremalityReport(
+    return _independence_report(
         CRITERION_LANDAU_STREATER,
-        kmap.r**2,
-        decision.rank,
-        independent,
-        independent,
-        decision,
+        kmap,
+        lambda vi, vj: np.concatenate([np.ravel(dagger(vi) @ vj), np.ravel(vj @ dagger(vi))]),
+        tol,
     )
 
 

@@ -2,31 +2,20 @@
 
 Everything downstream works with 2-D ``numpy.ndarray`` values of dtype
 complex128.  Numerical ranks come from LAPACK singular values
-(``numpy.linalg.svd``).  The Hermitian eigensolver ``eigh`` is a cyclic Jacobi
-iteration: a compiled extension when available, an interchangeable
-pure-Python twin otherwise (set ``QMARGINALS_PURE_PYTHON=1`` to force the
-fallback).  Jacobi serves only ``eigh``: every matrix it sees is tiny
-(dimension <= 64), it is deterministic for a fixed input, and its rotation
-count is easy to audit.
+(``numpy.linalg.svd``).  The Hermitian eigensolver ``eigh`` is a single
+pure-Python cyclic Jacobi kernel, due to become ``numpy.linalg.eigh``: every
+matrix it sees is small (dimension <= 64), it is deterministic for a fixed
+input, and its rotation count is easy to audit.
 
 All tolerances are relative and flow in as parameters; ``DEFAULT_TOL`` is the
 single documented default.
 """
 
-import os
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotPSD
-
-if os.environ.get("QMARGINALS_PURE_PYTHON"):
-    from . import _jacobi_py as _kernel
-else:
-    try:
-        from . import _jacobi as _kernel
-    except ImportError:
-        from . import _jacobi_py as _kernel
 
 #: Relative rank / positivity tolerance used when the caller does not pass one.
 DEFAULT_TOL = 1e-8
@@ -34,11 +23,6 @@ DEFAULT_TOL = 1e-8
 #: Sweep budget and relative off-diagonal termination threshold for Jacobi.
 JACOBI_MAX_SWEEPS = 100
 JACOBI_OFF_FACTOR = 1e-12
-
-
-def jacobi_backend() -> str:
-    """Name of the eigensolver kernel in use: "compiled" or "python"."""
-    return _kernel.BACKEND
 
 
 def as_matrix(value) -> np.ndarray:
@@ -96,6 +80,67 @@ def is_hermitian(mat: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return frobenius(mat - dagger(mat)) <= tol * max(1.0, frobenius(mat))
 
 
+def _offdiag_norm(a: np.ndarray) -> float:
+    off = a.copy()
+    np.fill_diagonal(off, 0.0)
+    return float(np.linalg.norm(off))
+
+
+def _jacobi_cyclic(a: np.ndarray, v: np.ndarray, max_sweeps: int, off_tol: float) -> int:
+    """Diagonalize the Hermitian matrix ``a`` in place by cyclic Jacobi sweeps.
+
+    ``a`` is overwritten with the (numerically) diagonal matrix and ``v``,
+    which must start as the identity, accumulates the unitary so that the
+    original matrix equals ``v @ a @ v.conj().T``.  Eigenvalues end up on the
+    diagonal of ``a`` unsorted.
+
+    Returns the number of completed sweeps on convergence (off-diagonal
+    Frobenius norm <= ``off_tol``), or -1 if ``max_sweeps`` was not enough.
+    """
+    n = a.shape[0]
+    for sweep in range(max_sweeps + 1):
+        if _offdiag_norm(a) <= off_tol:
+            return sweep
+        if sweep == max_sweeps:
+            return -1
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                mag = abs(apq)
+                if mag < 1e-150:  # negligible pivot; rotating risks overflow
+                    continue
+                phase = apq / mag
+                app = a[p, p].real
+                aqq = a[q, q].real
+                theta = (aqq - app) / (2.0 * mag)
+                if abs(theta) > 1e150:
+                    t = -1.0 / (2.0 * theta)
+                else:
+                    sgn = 1.0 if theta >= 0.0 else -1.0
+                    t = -sgn / (abs(theta) + np.sqrt(1.0 + theta * theta))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                new_p = c * col_p + s * np.conj(phase) * col_q
+                new_q = -s * phase * col_p + c * col_q
+                a[:, p] = new_p
+                a[:, q] = new_q
+                a[p, :] = np.conj(new_p)
+                a[q, :] = np.conj(new_q)
+                a[p, p] = c * c * app + 2.0 * c * s * mag + s * s * aqq
+                a[q, q] = s * s * app - 2.0 * c * s * mag + c * c * aqq
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+
+                vec_p = v[:, p].copy()
+                vec_q = v[:, q].copy()
+                v[:, p] = c * vec_p + s * np.conj(phase) * vec_q
+                v[:, q] = -s * phase * vec_p + c * vec_q
+    return -1
+
+
 def eigh(
     h: np.ndarray,
     tol: float = DEFAULT_TOL,
@@ -123,7 +168,7 @@ def eigh(
     n = h.shape[0]
     work = np.ascontiguousarray((h + dagger(h)) / 2.0)
     vecs = np.eye(n, dtype=np.complex128)
-    sweeps = _kernel.jacobi_cyclic(work, vecs, max_sweeps, JACOBI_OFF_FACTOR * frobenius(h))
+    sweeps = _jacobi_cyclic(work, vecs, max_sweeps, JACOBI_OFF_FACTOR * frobenius(h))
     if sweeps < 0:
         raise NoConvergence(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
     values = np.diagonal(work).real.copy()

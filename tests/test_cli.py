@@ -12,6 +12,7 @@ from qmarginals import (
     choi_state,
     extremal_qubit_qutrit_map,
     kraus_to_json,
+    mix_ops,
     random_kraus,
     state_to_json,
     validate_state,
@@ -74,6 +75,35 @@ def test_verify_state_with_kraus_section(example_state_file, example_kraus_file,
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["doubly_constrained"]["verdict"] is True
+
+
+def _write_state_and_family(tmp_path, state_kmap, family):
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps(state_to_json(choi_state(state_kmap))))
+    kraus_path = tmp_path / "family.json"
+    kraus_path.write_text(json.dumps(kraus_to_json(family)))
+    return str(state_path), str(kraus_path)
+
+
+def test_verify_state_accepts_mixed_own_family(tmp_path, capsys):
+    kmap = random_kraus(2, 3, 2, 5)
+    unitary = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    paths = _write_state_and_family(tmp_path, kmap, mix_ops(kmap, unitary))
+    assert main(["verify-state", paths[0], "--kraus", paths[1], "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["doubly_constrained"]["verdict"] is True
+
+
+def test_verify_state_refuses_family_of_other_dimensions(tmp_path, capsys):
+    paths = _write_state_and_family(tmp_path, random_kraus(2, 3, 2, 5), random_kraus(3, 3, 5, 7))
+    assert main(["verify-state", paths[0], "--kraus", paths[1]]) == 2
+    _assert_one_line_error(capsys)
+
+
+def test_verify_state_refuses_family_of_other_state(tmp_path, capsys):
+    paths = _write_state_and_family(tmp_path, random_kraus(2, 3, 2, 5), random_kraus(2, 3, 2, 6))
+    assert main(["verify-state", paths[0], "--kraus", paths[1], "--json"]) == 2
+    _assert_one_line_error(capsys)
 
 
 def test_verify_state_maximally_mixed_flags_bound(tmp_path, capsys):

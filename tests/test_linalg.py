@@ -7,7 +7,6 @@ from qmarginals import (
     NotHermitian,
     NotPSD,
     eigh,
-    jacobi_backend,
     kron,
     matrix_from_json,
     matrix_to_json,
@@ -18,7 +17,6 @@ from qmarginals import (
     rank_with_margin,
 )
 from qmarginals import DimensionMismatch
-from qmarginals import _jacobi_py
 
 
 def test_matrix_unit_basic():
@@ -122,27 +120,6 @@ def test_eigh_budget_exhaustion_raises():
     h = random_hermitian(rng, 12)
     with pytest.raises(NoConvergence):
         eigh(h, max_sweeps=1)
-
-
-def test_backends_agree_when_compiled_present():
-    try:
-        from qmarginals import _jacobi
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    rng = np.random.default_rng(3)
-    h = random_hermitian(rng, 10)
-    norm = np.linalg.norm(h)
-    args = dict(max_sweeps=100, off_tol=1e-12 * norm)
-    a1 = np.ascontiguousarray(h.copy())
-    v1 = np.eye(10, dtype=complex)
-    a2 = np.ascontiguousarray(h.copy())
-    v2 = np.eye(10, dtype=complex)
-    s1 = _jacobi.jacobi_cyclic(a1, v1, **args)
-    s2 = _jacobi_py.jacobi_cyclic(a2, v2, **args)
-    assert s1 >= 0 and s2 >= 0
-    assert np.allclose(np.diagonal(a1).real, np.diagonal(a2).real, atol=1e-12)
-    assert np.allclose(v1, v2, atol=1e-12)
-    assert jacobi_backend() in ("compiled", "python")
 
 
 def test_numerical_rank_zero_matrix():
