@@ -30,8 +30,6 @@ from .bipartite import (
     partial_transpose_b,
     perturbation_freedom_dim,
     ppt_check,
-    ptrace_a,
-    ptrace_b,
     random_separable,
     state_from_json,
     state_to_json,
@@ -118,8 +116,6 @@ __all__ = [
     "partial_transpose_b",
     "perturbation_freedom_dim",
     "ppt_check",
-    "ptrace_a",
-    "ptrace_b",
     "random_separable",
     "state_from_json",
     "state_to_json",

@@ -4,16 +4,17 @@ A state on an (n*m)-dimensional space is tagged with its factor dimensions
 (dim_a=n, dim_b=m).  The product basis is ordered lexicographically:
 e_i (x) f_k sits at index i*m + k, matching ``linalg.kron``.
 
-Includes the partial trace / partial transpose pair, the PPT entanglement
+Includes the partial traces and partial transposes, the PPT entanglement
 verdict (conclusive only at 2x2 and 2x3), maximally entangled two-qubit
 projectors, the extremality rank bound for fixed-marginal state sets, and a
-representation-free extremality oracle based on counting trace-free
-perturbations supported on the state's range.
+representation-free extremality oracle: the kernel dimension of the linear
+map taking a matrix X on the state's range to the two marginals of
+B X B^dagger, B an isometry onto that range (Landau-Streater).
 """
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -149,24 +150,14 @@ def _blocks(mat: np.ndarray, n: int, m: int) -> np.ndarray:
     return mat.reshape(n, m, n, m)
 
 
-def ptrace_b(mat, dim_a: int, dim_b: int) -> np.ndarray:
-    """Trace out the second factor of a raw (n*m)x(n*m) matrix -> n x n."""
-    return np.einsum("ikjk->ij", _blocks(as_matrix(mat), dim_a, dim_b))
-
-
-def ptrace_a(mat, dim_a: int, dim_b: int) -> np.ndarray:
-    """Trace out the first factor of a raw (n*m)x(n*m) matrix -> m x m."""
-    return np.einsum("ikil->kl", _blocks(as_matrix(mat), dim_a, dim_b))
-
-
 def partial_trace_b(state: BipartiteState) -> np.ndarray:
     """First marginal: trace out the second factor, leaving dim_a x dim_a."""
-    return ptrace_b(state.mat, state.dim_a, state.dim_b)
+    return np.einsum("ikjk->ij", _blocks(state.mat, state.dim_a, state.dim_b))
 
 
 def partial_trace_a(state: BipartiteState) -> np.ndarray:
     """Second marginal: trace out the first factor, leaving dim_b x dim_b."""
-    return ptrace_a(state.mat, state.dim_a, state.dim_b)
+    return np.einsum("ikil->kl", _blocks(state.mat, state.dim_a, state.dim_b))
 
 
 def partial_transpose_b(state: BipartiteState) -> np.ndarray:
@@ -235,6 +226,14 @@ def check_rank_bound(state: BipartiteState, tol: float = DEFAULT_TOL) -> bool:
     return numerical_rank(state.mat, tol) <= parthasarathy_bound(state.dim_a, state.dim_b)
 
 
+def _support(state: BipartiteState, tol: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of ``state`` on its support:
+    eigenvalues above ``tol * max(lambda_max, 0)``."""
+    values, vectors = eigh(state.mat, tol)
+    support = values > tol * max(float(values[-1]), 0.0)
+    return values[support], vectors[:, support]
+
+
 def perturbation_freedom_dim(state: BipartiteState, tol: float = DEFAULT_TOL) -> int:
     """Dimension of the real vector space of Hermitian perturbations that
     stay on the state's range and leave both marginals untouched.
@@ -243,34 +242,21 @@ def perturbation_freedom_dim(state: BipartiteState, tol: float = DEFAULT_TOL) ->
     sharing its marginals; any nonzero direction generates a segment inside
     that set.  Works directly on the state, with no reference to a Kraus
     presentation.
+
+    With the support eigenvectors as the columns of B, reshaped to
+    (n, m, r), the count is the kernel dimension of the complex-linear
+    constraint map X -> (tr_A B X B^dagger, tr_B B X B^dagger) on r x r
+    matrices.  That kernel is closed under the adjoint, so its complex
+    dimension equals the real dimension of its Hermitian part.
     """
-    n, m = state.dim_a, state.dim_b
-    values, vectors = eigh(state.mat, tol)
-    lam_max = float(values[-1])
-    support = values > tol * max(lam_max, 0.0)
-    basis_vecs = vectors[:, support]
-    r = basis_vecs.shape[1]
+    _, basis = _support(state, tol)
+    r = basis.shape[1]
     if r == 0:
         return 0
-
-    herm_basis = []
-    for i in range(r):
-        herm_basis.append(np.outer(basis_vecs[:, i], basis_vecs[:, i].conj()))
-    for i in range(r):
-        for j in range(i + 1, r):
-            cross = np.outer(basis_vecs[:, i], basis_vecs[:, j].conj())
-            herm_basis.append(cross + dagger(cross))
-            herm_basis.append(1j * (cross - dagger(cross)))
-
-    rows = []
-    for delta in herm_basis:
-        ta = ptrace_a(delta, n, m)
-        tb = ptrace_b(delta, n, m)
-        rows.append(
-            np.concatenate([ta.real.ravel(), ta.imag.ravel(), tb.real.ravel(), tb.imag.ravel()])
-        )
-    constraint = np.array(rows)  # r^2 x 2(m^2 + n^2), real
-    return r * r - numerical_rank(constraint, tol)
+    b = basis.reshape(state.dim_a, state.dim_b, r)
+    to_a = np.einsum("ika,ilb->klab", b, b.conj()).reshape(-1, r * r)  # tr_A, m^2 rows
+    to_b = np.einsum("ika,jkb->ijab", b, b.conj()).reshape(-1, r * r)  # tr_B, n^2 rows
+    return r * r - numerical_rank(np.concatenate([to_a, to_b]), tol)
 
 
 def random_separable(dim_a: int, dim_b: int, k: int, seed: int) -> BipartiteState:

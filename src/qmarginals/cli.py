@@ -41,9 +41,9 @@ from .bipartite import (
 )
 from .cpmaps import (
     KrausMap,
+    _composite_matrix,
     choi_extremality,
     choi_state,
-    choi_vector,
     doubly_constrained_extremality,
     extremal_qubit_qutrit_map,
     kraus_from_json,
@@ -89,7 +89,10 @@ def _read_json(path: str):
     else:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
 
 
 def _write_text(path: str, text: str) -> None:
@@ -137,8 +140,7 @@ def _fmt_matrix(mat: np.ndarray, indent: str = "  ") -> str:
 def _check_family_reproduces(kmap: KrausMap, state: BipartiteState, tol: float) -> None:
     """Refuse a Kraus family whose composite state differs from ``state`` by
     more than ``tol * max(1, ||state||_F)`` in the Frobenius norm."""
-    vectors = np.array([choi_vector(op) for op in kmap.ops])
-    deviation = frobenius(vectors.T @ vectors.conj() - state.mat)
+    deviation = frobenius(_composite_matrix(kmap.ops) - state.mat)
     limit = tol * max(1.0, frobenius(state.mat))
     if deviation > limit:
         raise ValueError(

@@ -27,9 +27,9 @@ from typing import Callable, Tuple
 import numpy as np
 
 from . import linalg
-from .bipartite import BipartiteState, validate_state
+from .bipartite import BipartiteState, _support, validate_state
 from .errors import DimensionMismatch, TraceNotOne
-from .linalg import DEFAULT_TOL, RankDecision, as_matrix, dagger, eigh, rank_with_margin
+from .linalg import DEFAULT_TOL, RankDecision, as_matrix, dagger, rank_with_margin
 
 CRITERION_CHOI = "choi"
 CRITERION_LANDAU_STREATER = "landau_streater"
@@ -143,6 +143,12 @@ def choi_vector(op: np.ndarray) -> np.ndarray:
     return np.conj(as_matrix(op)).ravel()
 
 
+def _composite_matrix(ops) -> np.ndarray:
+    """sum_l |w_l><w_l| over the Choi vectors w_l of the operators ``ops``."""
+    vectors = np.array([choi_vector(op) for op in ops])  # r x nm
+    return vectors.T @ vectors.conj()
+
+
 def choi_state(kmap: KrausMap, tol: float = DEFAULT_TOL) -> BipartiteState:
     """Composite state sum_ij E_ij (x) phi(E_ij) of the map, as a validated
     (n*m)-dimensional bipartite state.
@@ -159,12 +165,7 @@ def choi_state(kmap: KrausMap, tol: float = DEFAULT_TOL) -> BipartiteState:
         raise TraceNotOne(
             f"sum of V^dagger V has trace {trace_k:.12g}, expected 1", trace=trace_k
         )
-    d = kmap.n * kmap.m
-    mat = np.zeros((d, d), dtype=np.complex128)
-    for op in kmap.ops:
-        w = choi_vector(op)
-        mat += np.outer(w, w.conj())
-    return validate_state(mat, kmap.n, kmap.m, tol)
+    return validate_state(_composite_matrix(kmap.ops), kmap.n, kmap.m, tol)
 
 
 def _independence_report(
@@ -219,12 +220,10 @@ def kraus_from_state(state: BipartiteState, tol: float = DEFAULT_TOL) -> KrausMa
     the rank cutoff.  The family itself is unique only up to a unitary
     mixing, which the ordering and phase convention pin down for tests.
     """
-    values, vectors = eigh(state.mat, tol)
-    lam_max = float(values[-1])
-    support = np.where(values > tol * max(lam_max, 0.0))[0]
+    values, vectors = _support(state, tol)
     ops = []
-    for idx in support[::-1]:  # descending eigenvalue
-        w = np.sqrt(values[idx]) * vectors[:, idx]
+    for value, vector in zip(values[::-1], vectors.T[::-1]):  # descending eigenvalue
+        w = np.sqrt(value) * vector
         op = np.conj(w).reshape(state.dim_a, state.dim_b)
         anchor = op.ravel()[int(np.argmax(np.abs(op)))]
         if abs(anchor) > 0.0:

@@ -71,15 +71,6 @@ class HermitianEigen(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def is_hermitian(mat: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Whether ``mat`` is square and within ``tol * max(1, ||mat||_F)`` of
-    its conjugate transpose."""
-    mat = as_matrix(mat)
-    if mat.shape[0] != mat.shape[1]:
-        return False
-    return frobenius(mat - dagger(mat)) <= tol * max(1.0, frobenius(mat))
-
-
 def _offdiag_norm(a: np.ndarray) -> float:
     off = a.copy()
     np.fill_diagonal(off, 0.0)
@@ -264,7 +255,11 @@ def is_positive_int(value) -> bool:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    """Parse the matrix wire format, naming the offending field on error."""
+    """Parse the matrix wire format, naming the offending field on error.
+
+    Refuses non-finite entries, and matrices whose ``frobenius`` norm is
+    not finite (its sum of squares overflows above about 1.3e154): every
+    later tolerance is relative to that norm."""
     if not isinstance(obj, dict):
         raise ValueError("matrix object: expected a JSON object")
     for field in ("rows", "cols", "entries"):
@@ -292,4 +287,8 @@ def matrix_from_json(obj) -> np.ndarray:
         flat[k] = complex(pair[0], pair[1])
     if not np.all(np.isfinite(flat.real)) or not np.all(np.isfinite(flat.imag)):
         raise ValueError("field 'entries': entries must be finite")
+    with np.errstate(over="ignore"):
+        norm = frobenius(flat)
+    if not np.isfinite(norm):
+        raise ValueError("field 'entries': the matrix's Frobenius norm overflows")
     return flat.reshape(rows, cols)

@@ -23,7 +23,7 @@ test is the search pipeline for new extreme points of fixed-marginals
 state sets (``find_extremal_candidate``).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
@@ -56,12 +56,20 @@ class ScalingConfig:
     otherwise.  ``max_iter`` must be a positive integer and ``residual_tol``
     finite and positive (``ValueError`` otherwise): a NaN tolerance would
     pass vacuously and a zero one could never be met.
+
+    The eigendecomposition behind the PSD check is kept: each target's
+    spectrum, clipped at zero, and its principal square root, which
+    ``sinkhorn_scale`` reads instead of diagonalising the target again.
     """
 
     target_K: np.ndarray  # m x m, for sum V^dagger V
     target_L: np.ndarray  # n x n, for sum V V^dagger
     max_iter: int = 10000
     residual_tol: float = 1e-10
+    _spectrum_K: np.ndarray = field(init=False, repr=False, compare=False)
+    _root_K: np.ndarray = field(init=False, repr=False, compare=False)
+    _spectrum_L: np.ndarray = field(init=False, repr=False, compare=False)
+    _root_L: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_positive_int(self.max_iter):
@@ -70,22 +78,27 @@ class ScalingConfig:
             raise ValueError(
                 f"residual_tol must be finite and positive, got {self.residual_tol!r}"
             )
-        for name, target in (("target_K", self.target_K), ("target_L", self.target_L)):
-            mat = as_matrix(target)
+        for side in ("K", "L"):
+            name = f"target_{side}"
+            mat = as_matrix(getattr(self, name)).copy()
             if mat.shape[0] != mat.shape[1]:
                 raise DimensionMismatch(f"{name} must be square, got {mat.shape}")
             trace = float(np.trace(mat).real)
             if abs(trace - 1.0) > 1e-12:
                 raise TraceNotOne(f"{name} has trace {trace:.12g}, expected 1", trace=trace)
-            lam_min = float(eigh(mat).eigenvalues[0])
+            values, vectors = eigh(mat)
+            lam_min = float(values[0])
             if lam_min < -1e-12:
                 raise NotPSD(
                     f"{name} has eigenvalue {lam_min:.3e} below -1e-12",
                     min_eigenvalue=lam_min,
                 )
-            mat = mat.copy()
-            mat.setflags(write=False)
-            object.__setattr__(self, name, mat)
+            values = np.clip(values, 0.0, None)
+            root = (vectors * np.sqrt(values)) @ dagger(vectors)
+            kept = {name: mat, f"_spectrum_{side}": values, f"_root_{side}": root}
+            for attr, value in kept.items():
+                value.setflags(write=False)
+                object.__setattr__(self, attr, value)
 
 
 @dataclass(frozen=True)
@@ -170,15 +183,12 @@ def residuals(kmap: KrausMap, target_K, target_L) -> Tuple[float, float]:
     return _residuals(np.stack(kmap.ops), target_K, target_L)
 
 
-def _sqrt_and_rank(mat: np.ndarray, tol: float) -> Tuple[np.ndarray, int]:
-    """Principal root and support rank of a PSD target from one
-    eigendecomposition; eigenvalues above ``tol * max(1, lambda_max)`` count
-    as support."""
-    values, vectors = eigh(mat, tol)
-    values = np.clip(values, 0.0, None)
-    support = values > tol * max(1.0, float(values[-1]))
-    sqrt_mat = (vectors * np.sqrt(values)) @ dagger(vectors)
-    return sqrt_mat, int(np.count_nonzero(support))
+def _support_mask(values: np.ndarray, largest: float, tol: float) -> np.ndarray:
+    """Which of the nonnegative ``values``, the largest of which is
+    ``largest``, count as support: those above ``tol * max(1, largest)``.
+    Applied to the targets' eigenvalues and to the squared singular values
+    of the family's stacks alike."""
+    return values > tol * max(1.0, largest)
 
 
 def _gram_inv_sqrt(
@@ -187,10 +197,10 @@ def _gram_inv_sqrt(
     """Pseudo-inverse root W diag(1/sigma) W^dagger of the Gram matrix
     W diag(sigma^2) W^dagger, given singular values and the matching
     singular vectors, with its support rank.  ``sigma^2`` counts as support
-    above ``tol * max(1, sigma_max^2)``, as eigenvalues do in
-    ``_sqrt_and_rank``."""
+    above ``tol * max(1, sigma_max^2)`` (``_support_mask``), as the targets'
+    eigenvalues do."""
     grams = sigmas * sigmas
-    support = grams > tol * max(1.0, float(grams[0]))
+    support = _support_mask(grams, float(grams[0]), tol)
     inv_roots = np.zeros_like(sigmas)
     inv_roots[support] = 1.0 / sigmas[support]
     return (vectors * inv_roots) @ dagger(vectors), int(np.count_nonzero(support))
@@ -205,6 +215,9 @@ def sinkhorn_scale(
     Right step: V <- V (sum V^dagger V)^(-1/2) K^(1/2), making the first sum
     equal K on its support.  Left step: V <- L^(1/2) (sum V V^dagger)^(-1/2) V.
     A family already at its targets returns unchanged after zero iterations.
+    The roots K^(1/2), L^(1/2) and the targets' spectra, from which their
+    support ranks are counted at ``tol``, come from ``config``: scaling
+    diagonalises nothing.
 
     The family is one ``(r, n, m)`` array.  Each inverse root comes from the
     thin SVD of a stack of the family: the rn x m column stack for the right
@@ -220,15 +233,16 @@ def sinkhorn_scale(
     -- when the budget runs out.
     """
     n, m, r = kmap.n, kmap.m, kmap.r
-    target_K = as_matrix(config.target_K)
-    target_L = as_matrix(config.target_L)
+    target_K, target_L = config.target_K, config.target_L
     if target_K.shape != (m, m) or target_L.shape != (n, n):
         raise DimensionMismatch(
             f"targets of shapes {target_K.shape}, {target_L.shape} do not match a "
             f"({n}, {m}) family"
         )
-    sqrt_k, rank_k = _sqrt_and_rank(target_K, tol)
-    sqrt_l, rank_l = _sqrt_and_rank(target_L, tol)
+    sqrt_k, sqrt_l = config._root_K, config._root_L
+    spectrum_k, spectrum_l = config._spectrum_K, config._spectrum_L
+    rank_k = int(np.count_nonzero(_support_mask(spectrum_k, float(spectrum_k[-1]), tol)))
+    rank_l = int(np.count_nonzero(_support_mask(spectrum_l, float(spectrum_l[-1]), tol)))
 
     family = np.stack(kmap.ops)
     res_k, res_l = _residuals(family, target_K, target_L)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -448,6 +449,27 @@ def test_state_and_kraus_parsers_reject_json_booleans(tmp_path, capsys, command,
 def test_tol_must_be_finite_and_positive(capsys, argv, tol):
     assert main(argv + ["--tol", tol]) == 2
     _assert_one_line_error(capsys, usage=True)
+
+
+@pytest.mark.parametrize("command", ["verify-state", "choi", "kraus", "extremal-check"])
+def test_deeply_nested_json_is_refused(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main([command, str(path)]) == 2
+    _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("command", ["verify-state", "kraus"])
+def test_matrix_with_overflowing_norm_is_refused(tmp_path, capsys, command):
+    # every entry is finite, but the Frobenius norm is not
+    doc = {"dim_a": 2, "dim_b": 3, "matrix": {"rows": 6, "cols": 6, "entries": [[1e308, 0]] * 36}}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, str(path)]) == 2
+    assert caught == []
+    _assert_one_line_error(capsys)
 
 
 def test_tol_accepts_small_positive_values(capsys):

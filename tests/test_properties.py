@@ -7,19 +7,26 @@ and a random Kraus family is independent exactly when its size respects
 Parthasarathy's bound.  The invariance properties compare a family with its
 unitary mixtures and its local-unitary images: neither may move the PPT
 spectrum, the rank, the two extremality verdicts or the perturbation
-freedom.  Hypothesis draws shapes and fixed generator seeds; runs are
-derandomized so the suite stays reproducible.
+freedom.  The perturbation oracle is compared with the brute-force count in
+``oracles``, which builds a real Hermitian basis and takes bra-ket partial
+traces.  The Kraus family recovered from a state must rebuild the state
+and, when the original operators are linearly independent, be a unitary
+mixing of them.  Hypothesis draws shapes and fixed generator seeds; runs
+are derandomized so the suite stays reproducible.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import perturbation_dim_brute
 
 from qmarginals import (
     KrausMap,
     choi_extremality,
     choi_state,
+    choi_vector,
     doubly_constrained_extremality,
+    kraus_from_state,
     kron,
     mix_ops,
     numerical_rank,
@@ -36,6 +43,8 @@ SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 PROPERTY_SETTINGS = settings(deadline=None, derandomize=True, max_examples=60)
 # each example runs the perturbation oracle twice on the pure-Python eigh
 INVARIANCE_SETTINGS = settings(deadline=None, derandomize=True, max_examples=25)
+# states reach 16 x 16, diagonalised by the pure-Python eigh
+ORACLE_SETTINGS = settings(deadline=None, derandomize=True, max_examples=40)
 
 
 def _ginibre(rng, rows, cols):
@@ -121,3 +130,59 @@ def test_invariants_unchanged_by_local_unitaries(n, m, r, seed, unitary_seed):
     assert np.abs(choi_state(moved).mat - rotated.mat).max() <= 1e-12
     _assert_same_state_invariants(_state_invariants(state), _state_invariants(rotated))
     assert _verdicts(moved) == _verdicts(kmap)
+
+
+@st.composite
+def family_or_product_mixture_states(draw):
+    """Composite state of a random family of r operators, or a separable
+    mixture of r random pure product states, r in 1..8."""
+    n, m, r = draw(st.integers(2, 4)), draw(st.integers(2, 4)), draw(st.integers(1, 8))
+    seed = draw(SEEDS)
+    if draw(st.booleans()):
+        return choi_state(random_kraus(n, m, r, seed))
+    rng = sampling.generator(seed)
+    weights = sampling.random_probability_vector(rng, r)
+    mat = np.zeros((n * m, n * m), dtype=complex)
+    for weight in weights:
+        a = sampling.ginibre(rng, n, 1)
+        b = sampling.ginibre(rng, m, 1)
+        product = kron(a, b) / np.sqrt(np.vdot(a, a).real * np.vdot(b, b).real)
+        mat += weight * (product @ product.conj().T)
+    return validate_state(mat, n, m)
+
+
+@ORACLE_SETTINGS
+@given(family_or_product_mixture_states())
+def test_perturbation_oracle_matches_brute_force(state):
+    brute = perturbation_dim_brute(state.mat, state.dim_a, state.dim_b)
+    assert perturbation_freedom_dim(state) == brute
+
+
+@ORACLE_SETTINGS
+@given(family_or_product_mixture_states())
+def test_recovered_family_rebuilds_the_state(state):
+    rebuilt = choi_state(kraus_from_state(state))
+    assert np.abs(rebuilt.mat - state.mat).max() <= 1e-12
+
+
+@st.composite
+def independent_families(draw):
+    """(n, m, r, seed) with r <= n m, so the operators of a random family are
+    linearly independent and its composite state has rank r."""
+    n, m = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    return n, m, draw(st.integers(1, n * m)), draw(SEEDS)
+
+
+@ORACLE_SETTINGS
+@given(independent_families())
+def test_recovered_family_is_a_unitary_mixing(case):
+    n, m, r, seed = case
+    kmap = random_kraus(n, m, r, seed)
+    recovered = kraus_from_state(choi_state(kmap))
+    assert recovered.r == r
+    # the Choi vectors of mix_ops(kmap, u) are the rows of conj(u) @ w_in
+    w_in = np.array([choi_vector(op) for op in kmap.ops])
+    w_out = np.array([choi_vector(op) for op in recovered.ops])
+    u = np.linalg.lstsq(w_in.T, w_out.T, rcond=None)[0].conj().T
+    assert np.abs(u @ u.conj().T - np.eye(r)).max() <= 1e-10
+    assert np.abs(np.stack(mix_ops(kmap, u).ops) - np.stack(recovered.ops)).max() <= 1e-10

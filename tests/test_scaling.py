@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import sinkhorn_by_eigh
+from oracles import _np_root_and_inv_root, sinkhorn_by_eigh
 
 from qmarginals import (
     InfeasibleRank,
@@ -16,6 +16,7 @@ from qmarginals import (
     check_rank_bound,
     choi_state,
     find_extremal_candidate,
+    linalg,
     mix_ops,
     numerical_rank,
     partial_trace_a,
@@ -26,6 +27,7 @@ from qmarginals import (
     random_kraus,
     residuals,
     sampling,
+    scaling,
     sinkhorn_scale,
     state_violations,
     uniform_targets,
@@ -284,6 +286,41 @@ def test_scaling_matches_eigh_reference(shape, seed, skewed):
     if kind != "singular":
         assert iterations == ref_iterations
         assert np.abs(family - np.stack(ref_ops)).max() <= 1e-11
+
+
+@pytest.mark.parametrize("skewed", [False, True], ids=["uniform", "skewed"])
+@pytest.mark.parametrize("n, m", [(2, 3), (3, 3), (4, 4)])
+def test_config_roots_match_eigh_reference(n, m, skewed):
+    target_k, target_l = _targets(n, m, skewed, seed=0)
+    config = ScalingConfig(target_k, target_l)
+    for target, root in ((target_k, config._root_K), (target_l, config._root_L)):
+        ref_root, _, _ = _np_root_and_inv_root(target, 1e-8)
+        assert np.abs(root - ref_root).max() <= 1e-12
+
+
+def test_config_root_of_rank_deficient_target():
+    config = ScalingConfig(np.diag([0.64, 0.36, 0.0]), np.eye(2) / 2)
+    assert np.abs(config._root_K - np.diag([0.8, 0.6, 0.0])).max() <= 1e-12
+    assert np.abs(config._spectrum_K - [0.0, 0.36, 0.64]).max() <= 1e-12
+    assert config._spectrum_K.min() >= 0.0
+
+
+@pytest.mark.parametrize("skewed", [False, True], ids=["uniform", "skewed"])
+def test_sinkhorn_scale_makes_no_eigh_call(monkeypatch, skewed):
+    target_k, target_l = _targets(2, 3, skewed, seed=1)
+    config = ScalingConfig(target_k, target_l, max_iter=500)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called after the config was built")
+
+    monkeypatch.setattr(scaling, "eigh", refuse)
+    monkeypatch.setattr(linalg, "eigh", refuse)
+    kmap = random_kraus(2, 3, 2, 3)
+    kind, iterations, family = _outcome(kmap, config)
+    ref_kind, ref_iterations, ref_ops = sinkhorn_by_eigh(kmap.ops, target_k, target_l, 500)
+    assert kind == ref_kind == "converged"
+    assert iterations == ref_iterations
+    assert np.abs(family - np.stack(ref_ops)).max() <= 1e-11
 
 
 @pytest.mark.parametrize("column_scale, singular", [(1e-3, False), (1e-5, True)])
