@@ -144,13 +144,19 @@ def eigh(
     ``JACOBI_OFF_FACTOR * ||h||_F``.  Within degenerate eigenvalue clusters
     the eigenvector order is whatever the rotation sequence produces.
 
-    Raises ``NotHermitian`` if ``h`` is not Hermitian within ``tol`` and
+    Raises ``ValueError`` if ``frobenius(h)`` overflows (finite entries,
+    norm above about 1.3e154), since the stopping threshold would be inf;
+    ``NotHermitian`` if ``h`` is not Hermitian within ``tol``; and
     ``NoConvergence`` if ``max_sweeps`` sweeps do not suffice.
     """
     h = as_matrix(h)
     if h.shape[0] != h.shape[1]:
         raise DimensionMismatch(f"eigh needs a square matrix, got {h.shape}")
-    scale = max(1.0, frobenius(h))
+    with np.errstate(over="ignore"):
+        norm = frobenius(h)
+    if not np.isfinite(norm):
+        raise ValueError("eigh: the matrix's Frobenius norm overflows")
+    scale = max(1.0, norm)
     if frobenius(h - dagger(h)) > tol * scale:
         raise NotHermitian(
             f"matrix deviates from Hermitian by {frobenius(h - dagger(h)):.3e} "
@@ -159,7 +165,7 @@ def eigh(
     n = h.shape[0]
     work = np.ascontiguousarray((h + dagger(h)) / 2.0)
     vecs = np.eye(n, dtype=np.complex128)
-    sweeps = _jacobi_cyclic(work, vecs, max_sweeps, JACOBI_OFF_FACTOR * frobenius(h))
+    sweeps = _jacobi_cyclic(work, vecs, max_sweeps, JACOBI_OFF_FACTOR * norm)
     if sweeps < 0:
         raise NoConvergence(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
     values = np.diagonal(work).real.copy()

@@ -9,14 +9,15 @@ there is no convergence theorem behind it, so budget exhaustion raises
 ``NoConvergence`` with the full residual history attached rather than
 returning a silently truncated family.
 
-The iteration holds the family as one complex ``(r, n, m)`` array and never
-forms a sum to diagonalise it.  The rn x m column stack A of the operators
-has A^dagger A = sum V^dagger V, and the n x rm row stack B has
-B B^dagger = sum V V^dagger, so the inverse root each half-step needs comes
-from the singular vectors of one thin LAPACK SVD (``numpy.linalg.svd``).
-A squared singular value counts as support when it exceeds
-``tol * max(1, sigma_max^2)``, the rule applied to the eigenvalues of the
-targets.
+The iteration holds the family as one C-contiguous complex ``(n, r, m)``
+array F, with F[i, l] row i of operator V_l, and never forms a sum.  Both
+stacks are free reshapes of it: the nr x m column stack A has
+A^dagger A = sum V^dagger V, and the n x rm row stack B has
+B B^dagger = sum V V^dagger.  Each half-step replaces its stack by the
+stack's polar factor on the support, read off one thin LAPACK SVD
+(``numpy.linalg.svd``), times the target root.  A squared singular value
+counts as support when it exceeds ``tol * max(1, sigma_max^2)``, the rule
+applied to the eigenvalues of the targets.
 
 Feeding converged candidates through the doubly-constrained extremality
 test is the search pipeline for new extreme points of fixed-marginals
@@ -159,12 +160,12 @@ def random_kraus(n: int, m: int, r: int, seed: int) -> KrausMap:
 
 
 def _residuals(family: np.ndarray, target_K, target_L) -> Tuple[float, float]:
-    """Residuals of an ``(r, n, m)`` family, with sum V^dagger V formed as
-    A^dagger A of its rn x m column stack A and sum V V^dagger as B B^dagger
+    """Residuals of an ``(n, r, m)`` family, with sum V^dagger V formed as
+    A^dagger A of its nr x m column stack A and sum V V^dagger as B B^dagger
     of its n x rm row stack B."""
-    r, n, m = family.shape
-    cols = family.reshape(r * n, m)
-    rows = family.transpose(1, 0, 2).reshape(n, r * m)
+    n, r, m = family.shape
+    cols = family.reshape(n * r, m)
+    rows = family.reshape(n, r * m)
     return frobenius(dagger(cols) @ cols - target_K), frobenius(rows @ dagger(rows) - target_L)
 
 
@@ -180,7 +181,7 @@ def residuals(kmap: KrausMap, target_K, target_L) -> Tuple[float, float]:
         raise DimensionMismatch(
             f"target_L is {target_L.shape}, expected ({kmap.n}, {kmap.n})"
         )
-    return _residuals(np.stack(kmap.ops), target_K, target_L)
+    return _residuals(np.stack(kmap.ops, axis=1), target_K, target_L)
 
 
 def _support_mask(values: np.ndarray, largest: float, tol: float) -> np.ndarray:
@@ -191,19 +192,16 @@ def _support_mask(values: np.ndarray, largest: float, tol: float) -> np.ndarray:
     return values > tol * max(1.0, largest)
 
 
-def _gram_inv_sqrt(
-    vectors: np.ndarray, sigmas: np.ndarray, tol: float
-) -> Tuple[np.ndarray, int]:
-    """Pseudo-inverse root W diag(1/sigma) W^dagger of the Gram matrix
-    W diag(sigma^2) W^dagger, given singular values and the matching
-    singular vectors, with its support rank.  ``sigma^2`` counts as support
-    above ``tol * max(1, sigma_max^2)`` (``_support_mask``), as the targets'
-    eigenvalues do."""
+def _polar_on_support(stack: np.ndarray, tol: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Factors U_k, V_k^dagger of the polar factor U_k V_k^dagger of
+    ``stack`` on its support, from one thin SVD: the k leading singular
+    vectors, k counting the squared singular values above
+    ``tol * max(1, sigma_max^2)`` (``_support_mask``).  The singular values
+    come in descending order, so the support is a prefix."""
+    u, sigmas, vh = np.linalg.svd(stack, full_matrices=False)
     grams = sigmas * sigmas
-    support = _support_mask(grams, float(grams[0]), tol)
-    inv_roots = np.zeros_like(sigmas)
-    inv_roots[support] = 1.0 / sigmas[support]
-    return (vectors * inv_roots) @ dagger(vectors), int(np.count_nonzero(support))
+    k = int(np.count_nonzero(_support_mask(grams, float(grams[0]), tol)))
+    return u[:, :k], vh[:k]
 
 
 def sinkhorn_scale(
@@ -219,13 +217,18 @@ def sinkhorn_scale(
     support ranks are counted at ``tol``, come from ``config``: scaling
     diagonalises nothing.
 
-    The family is one ``(r, n, m)`` array.  Each inverse root comes from the
-    thin SVD of a stack of the family: the rn x m column stack for the right
-    step, the n x rm row stack for the left step.  Support is decided on the
-    squared singular values, ``sigma^2 > tol * max(1, sigma_max^2)``.  The
-    residual history is written into a float64 array that doubles when full,
-    so a large ``max_iter`` costs nothing up front, and is trimmed once into
-    the report's read-only ``history``.
+    The family is one C-contiguous ``(n, r, m)`` array, transposed once from
+    the operators on entry and once back into the returned ``KrausMap``; its
+    nr x m column stack A and n x rm row stack B are free reshapes.  With
+    U_k, V_k^dagger the support part of a thin SVD of a stack, the right step
+    sets A <- U_k V_k^dagger K^(1/2) = A (A^dagger A)^(-1/2) K^(1/2) and the
+    left step B <- L^(1/2) U_k V_k^dagger = L^(1/2) (B B^dagger)^(-1/2) B,
+    inverse roots on the support, without forming either.  Support is
+    decided on the squared singular values,
+    ``sigma^2 > tol * max(1, sigma_max^2)``.  The residual history is written
+    into a float64 array that doubles when full, so a large ``max_iter``
+    costs nothing up front, and is trimmed once into the report's read-only
+    ``history``.
 
     Raises ``SingularScaling`` as soon as an intermediate sum has smaller
     support than its target (the scaling can then never reach it), and
@@ -244,30 +247,26 @@ def sinkhorn_scale(
     rank_k = int(np.count_nonzero(_support_mask(spectrum_k, float(spectrum_k[-1]), tol)))
     rank_l = int(np.count_nonzero(_support_mask(spectrum_l, float(spectrum_l[-1]), tol)))
 
-    family = np.stack(kmap.ops)
+    family = np.stack(kmap.ops, axis=1)
     res_k, res_l = _residuals(family, target_K, target_L)
     history = np.empty((64, 2))
     history[0] = res_k, res_l
 
     iterations = 0
     while max(res_k, res_l) > config.residual_tol and iterations < config.max_iter:
-        _, sigmas, vh = np.linalg.svd(family.reshape(r * n, m), full_matrices=False)
-        inv_sqrt_sk, rank_sk = _gram_inv_sqrt(dagger(vh), sigmas, tol)
-        if rank_sk < rank_k:
+        u, vh = _polar_on_support(family.reshape(n * r, m), tol)
+        if len(vh) < rank_k:
             raise SingularScaling(
-                f"sum V^dagger V has rank {rank_sk}, below the target rank {rank_k}"
+                f"sum V^dagger V has rank {len(vh)}, below the target rank {rank_k}"
             )
-        family = family @ (inv_sqrt_sk @ sqrt_k)
+        family = (u @ (vh @ sqrt_k)).reshape(n, r, m)
 
-        u, sigmas, _ = np.linalg.svd(
-            family.transpose(1, 0, 2).reshape(n, r * m), full_matrices=False
-        )
-        inv_sqrt_sl, rank_sl = _gram_inv_sqrt(u, sigmas, tol)
-        if rank_sl < rank_l:
+        u, vh = _polar_on_support(family.reshape(n, r * m), tol)
+        if len(vh) < rank_l:
             raise SingularScaling(
-                f"sum V V^dagger has rank {rank_sl}, below the target rank {rank_l}"
+                f"sum V V^dagger has rank {len(vh)}, below the target rank {rank_l}"
             )
-        family = (sqrt_l @ inv_sqrt_sl) @ family
+        family = (sqrt_l @ (u @ vh)).reshape(n, r, m)
 
         iterations += 1
         res_k, res_l = _residuals(family, target_K, target_L)
@@ -280,7 +279,7 @@ def sinkhorn_scale(
     history.setflags(write=False)
     converged = max(res_k, res_l) <= config.residual_tol
     report = ScalingReport(iterations, res_k, res_l, converged, history)
-    scaled = KrausMap(n, m, tuple(family))
+    scaled = KrausMap(n, m, tuple(family.transpose(1, 0, 2)))
     if not converged:
         raise NoConvergence(
             f"residuals ({res_k:.3e}, {res_l:.3e}) above {config.residual_tol:.1e} "

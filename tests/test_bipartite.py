@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from oracles import (
@@ -9,6 +11,7 @@ from oracles import (
 )
 
 from qmarginals import (
+    BipartiteState,
     DimensionMismatch,
     NotHermitian,
     NotPSD,
@@ -298,6 +301,16 @@ def test_perturbation_freedom_mixture_of_entangled_projectors():
     dim = perturbation_freedom_dim(state)
     assert dim == perturbation_dim_brute(state.mat, 2, 2)
     assert dim > 0
+
+
+@pytest.mark.parametrize("verdict", [ppt_check, perturbation_freedom_dim])
+def test_verdicts_refuse_state_with_overflowing_norm(verdict):
+    # BipartiteState takes library input unvalidated; its norm overflows
+    state = BipartiteState(2, 3, np.full((6, 6), 1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="norm overflows"):
+            verdict(state)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,13 @@ import qmarginals
 from qmarginals import (
     choi_state,
     extremal_qubit_qutrit_map,
+    kraus_from_json,
     kraus_to_json,
     mix_ops,
     random_kraus,
+    sinkhorn_scale,
     state_to_json,
+    uniform_targets,
     validate_state,
 )
 from qmarginals.cli import main
@@ -298,6 +301,19 @@ def test_sinkhorn_converges_and_feeds_extremal_check(tmp_path, capsys):
     assert doc["report"]["residual_l"] <= 1e-10
     capsys.readouterr()
     assert main(["extremal-check", str(out)]) == 0  # wrapper document accepted
+
+
+def test_sinkhorn_output_matches_in_process_scaling(capsys):
+    assert main(["sinkhorn", "--n", "2", "--m", "3", "--r", "2", "--seed", "7"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    scaled, report = sinkhorn_scale(random_kraus(2, 3, 2, 7), uniform_targets(2, 3))
+    parsed = kraus_from_json(doc["kraus"])
+    assert (parsed.n, parsed.m, parsed.r) == (2, 3, 2)
+    for op, expected in zip(parsed.ops, scaled.ops):
+        assert np.array_equal(op.real, expected.real)
+        assert np.array_equal(op.imag, expected.imag)
+    assert doc["report"]["iterations"] == report.iterations
+    assert doc["report"]["history"] == report.history.tolist()
 
 
 def test_sinkhorn_rank_obstruction_fails(tmp_path, capsys):

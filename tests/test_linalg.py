@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from oracles import np_rank, random_hermitian, random_psd
@@ -113,6 +115,15 @@ def test_eigh_rejects_non_hermitian():
         eigh(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
     with pytest.raises(DimensionMismatch):
         eigh(np.zeros((2, 3), dtype=complex))
+
+
+def test_eigh_refuses_overflowing_norm():
+    # finite entries whose Frobenius norm overflows would make the stopping
+    # threshold inf and return the unrotated diagonal as the spectrum
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="norm overflows"):
+            eigh(np.full((6, 6), 1e200, dtype=complex))
 
 
 def test_eigh_budget_exhaustion_raises():

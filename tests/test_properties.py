@@ -11,12 +11,16 @@ freedom.  The perturbation oracle is compared with the brute-force count in
 ``oracles``, which builds a real Hermitian basis and takes bra-ket partial
 traces.  The Kraus family recovered from a state must rebuild the state
 and, when the original operators are linearly independent, be a unitary
-mixing of them.  Hypothesis draws shapes and fixed generator seeds; runs
-are derandomized so the suite stays reproducible.
+mixing of them.  Matrices, states and Kraus families survive a JSON text
+round trip bit for bit.  Hypothesis draws shapes and fixed generator seeds;
+runs are derandomized so the suite stays reproducible.
 """
 
+import json
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import perturbation_dim_brute
 
@@ -26,8 +30,12 @@ from qmarginals import (
     choi_state,
     choi_vector,
     doubly_constrained_extremality,
+    kraus_from_json,
     kraus_from_state,
+    kraus_to_json,
     kron,
+    matrix_from_json,
+    matrix_to_json,
     mix_ops,
     numerical_rank,
     parthasarathy_bound,
@@ -35,6 +43,8 @@ from qmarginals import (
     ppt_check,
     random_kraus,
     rank_with_margin,
+    state_from_json,
+    state_to_json,
     validate_state,
 )
 from qmarginals import sampling
@@ -186,3 +196,72 @@ def test_recovered_family_is_a_unitary_mixing(case):
     u = np.linalg.lstsq(w_in.T, w_out.T, rcond=None)[0].conj().T
     assert np.abs(u @ u.conj().T - np.eye(r)).max() <= 1e-10
     assert np.abs(np.stack(mix_ops(kmap, u).ops) - np.stack(recovered.ops)).max() <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# exact JSON round trips
+
+
+def _through_text(obj):
+    return json.loads(json.dumps(obj))
+
+
+def _same_bits(a, b):
+    """Equal shapes and identical float64 bit patterns of every real and
+    imaginary part (stricter than ``np.array_equal``: -0.0 differs from 0.0)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e300, -1e300])
+ANY_FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+@st.composite
+def finite_matrices(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    size = 2 * rows * cols
+    parts = draw(st.lists(st.one_of(EDGE_FLOATS, ANY_FINITE), min_size=size, max_size=size))
+    return np.array(parts).view(np.complex128).reshape(rows, cols)
+
+
+@PROPERTY_SETTINGS
+@given(finite_matrices())
+@example(np.array([[5e-324 - 5e-324j, -0.0 + 2.5e-310j]]))
+@example(np.array([[1e300 - 1e300j]]))
+def test_matrix_json_round_trip_is_exact_or_refused(mat):
+    wire = _through_text(matrix_to_json(mat))
+    with np.errstate(over="ignore"):
+        overflows = not np.isfinite(np.linalg.norm(mat))
+    if overflows:
+        # every later tolerance is relative to this norm, so the parser
+        # refuses the matrix although its text carries each entry exactly
+        assert [complex(*pair) for pair in wire["entries"]] == mat.ravel().tolist()
+        with pytest.raises(ValueError, match="norm overflows"):
+            matrix_from_json(wire)
+    else:
+        assert _same_bits(matrix_from_json(wire), mat)
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(1, 3), m=st.integers(1, 3), seed=SEEDS)
+def test_state_json_round_trip_is_exact(n, m, seed):
+    mat = sampling.random_density_matrix(sampling.generator(seed), n * m)
+    state = validate_state(mat, n, m)
+    again = state_from_json(_through_text(state_to_json(state)))
+    assert (again.dim_a, again.dim_b) == (n, m)
+    assert _same_bits(again.mat, state.mat)
+
+
+@PROPERTY_SETTINGS
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+    seed=SEEDS,
+    scale=st.sampled_from([1.0, 2.5e-310, 1e150]),
+)
+def test_kraus_json_round_trip_is_exact(shape, seed, scale):
+    n, m, r = shape
+    kmap = KrausMap(n, m, tuple(op * scale for op in random_kraus(n, m, r, seed).ops))
+    again = kraus_from_json(_through_text(kraus_to_json(kmap)))
+    assert (again.n, again.m, again.r) == (n, m, r)
+    assert all(_same_bits(a, b) for a, b in zip(again.ops, kmap.ops))

@@ -288,6 +288,25 @@ def test_scaling_matches_eigh_reference(shape, seed, skewed):
         assert np.abs(family - np.stack(ref_ops)).max() <= 1e-11
 
 
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("shape", [(1, 3, 2), (1, 4, 3)])
+def test_partial_support_scaling_matches_eigh_reference(shape, seed):
+    # r n < m: the column stack has only k = r n < m singular directions, so
+    # the right step's polar factor is a partial isometry; a target K of
+    # rank r n is still reachable
+    n, m, r = shape
+    rng = np.random.default_rng([seed, n, m, r])
+    g = rng.normal(size=(m, r * n)) + 1j * rng.normal(size=(m, r * n))
+    target_k = g @ g.conj().T / np.vdot(g, g).real
+    target_l = np.eye(n) / n
+    kmap = random_kraus(n, m, r, seed)
+    kind, iterations, family = _outcome(kmap, ScalingConfig(target_k, target_l, max_iter=500))
+    ref_kind, ref_iterations, ref_ops = sinkhorn_by_eigh(kmap.ops, target_k, target_l, 500)
+    assert kind == ref_kind == "converged"
+    assert iterations == ref_iterations
+    assert np.abs(family - np.stack(ref_ops)).max() <= 1e-11
+
+
 @pytest.mark.parametrize("skewed", [False, True], ids=["uniform", "skewed"])
 @pytest.mark.parametrize("n, m", [(2, 3), (3, 3), (4, 4)])
 def test_config_roots_match_eigh_reference(n, m, skewed):
