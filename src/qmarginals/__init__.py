@@ -69,6 +69,7 @@ from .linalg import (
     HermitianEigen,
     RankDecision,
     eigh,
+    eigvalsh,
     kron,
     matrix_from_json,
     matrix_to_json,
@@ -95,6 +96,7 @@ __all__ = [
     "HermitianEigen",
     "RankDecision",
     "eigh",
+    "eigvalsh",
     "kron",
     "matrix_from_json",
     "matrix_to_json",

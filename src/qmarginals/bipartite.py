@@ -10,6 +10,11 @@ projectors, the extremality rank bound for fixed-marginal state sets, and a
 representation-free extremality oracle: the kernel dimension of the linear
 map taking a matrix X on the state's range to the two marginals of
 B X B^dagger, B an isometry onto that range (Landau-Streater).
+
+The positivity check and the partial-transpose spectrum read eigenvalues
+only and take them from LAPACK (``linalg.eigvalsh``); the support basis
+behind the extremality oracle and the Kraus recovery reads eigenvectors and
+still comes from the Jacobi ``linalg.eigh``.
 """
 
 import math
@@ -20,7 +25,7 @@ import numpy as np
 
 from . import linalg, sampling
 from .errors import DimensionMismatch, NotHermitian, NotPSD, NotUnitary, TraceNotOne
-from .linalg import DEFAULT_TOL, as_matrix, dagger, eigh, frobenius, numerical_rank
+from .linalg import DEFAULT_TOL, as_matrix, dagger, eigh, eigvalsh, frobenius, numerical_rank
 
 #: Factor-dimension pairs where PPT is necessary *and sufficient* for
 #: separability.
@@ -76,15 +81,18 @@ class PptReport:
     """Outcome of the partial-transpose test.
 
     ``spectrum`` is the ascending spectrum of the partially transposed
-    matrix; the verdict is "separable" only in conclusive dimensions,
-    "entangled" whenever PPT fails (sufficient in any dimension), and
-    "inconclusive" otherwise.
+    matrix.  ``is_ppt`` holds when ``min_eigenvalue`` is at or above
+    ``threshold = -tol * max(1, ||PT||_F)``, so their difference is the
+    margin of the decision.  The verdict is "separable" only in conclusive
+    dimensions, "entangled" whenever PPT fails (sufficient in any
+    dimension), and "inconclusive" otherwise.
     """
 
     spectrum: np.ndarray
     min_eigenvalue: float
     is_ppt: bool
     verdict: str
+    threshold: float
 
     def to_json(self) -> dict:
         return {
@@ -92,6 +100,7 @@ class PptReport:
             "min_eigenvalue": float(self.min_eigenvalue),
             "is_ppt": bool(self.is_ppt),
             "verdict": self.verdict,
+            "threshold": float(self.threshold),
         }
 
 
@@ -116,9 +125,15 @@ def state_violations(mat, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) -> L
             Violation("not_hermitian", f"Hermiticity deviation {herm_dev:.3e}", herm_dev)
         )
     else:
-        lam_min = float(eigh(mat, tol).eigenvalues[0])
+        lam_min = float(eigvalsh(mat, tol)[0])
         if lam_min < -tol * scale:
-            out.append(Violation("not_psd", f"minimum eigenvalue {lam_min:.3e}", lam_min))
+            out.append(
+                Violation(
+                    "not_psd",
+                    f"minimum eigenvalue {lam_min:.3e} below {-tol * scale:.3e}",
+                    lam_min,
+                )
+            )
     trace = complex(np.trace(mat))
     if abs(trace - 1.0) > tol:
         out.append(Violation("trace_not_one", f"trace is {trace.real:.12g}", trace.real))
@@ -186,16 +201,17 @@ def ppt_check(state: BipartiteState, tol: float = DEFAULT_TOL) -> PptReport:
     factors; anywhere else the verdict stays "inconclusive".
     """
     pt = partial_transpose_b(state)
-    spectrum = eigh(pt, tol).eigenvalues
+    spectrum = eigvalsh(pt, tol)
     lam_min = float(spectrum[0])
-    is_ppt = lam_min >= -tol * max(1.0, frobenius(pt))
+    threshold = -tol * max(1.0, frobenius(pt))
+    is_ppt = lam_min >= threshold
     if not is_ppt:
         verdict = VERDICT_ENTANGLED
     elif (state.dim_a, state.dim_b) in CONCLUSIVE_DIMS:
         verdict = VERDICT_SEPARABLE
     else:
         verdict = VERDICT_INCONCLUSIVE
-    return PptReport(spectrum, lam_min, is_ppt, verdict)
+    return PptReport(spectrum, lam_min, is_ppt, verdict, threshold)
 
 
 def max_entangled_projector(f_basis, tol: float = DEFAULT_TOL) -> BipartiteState:

@@ -65,7 +65,7 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    eigh,
+    eigvalsh,
     frobenius,
     is_positive_int,
     matrix_from_json,
@@ -156,7 +156,7 @@ def _analyze_state(state: BipartiteState, tol: float, kmap: Optional[KrausMap]) 
     report = {
         "marginal_a": matrix_to_json(partial_trace_b(state)),
         "marginal_b": matrix_to_json(partial_trace_a(state)),
-        "eigenvalues": [float(x) for x in eigh(state.mat, tol).eigenvalues],
+        "eigenvalues": [float(x) for x in eigvalsh(state.mat, tol)],
         "rank": rank,
         "rank_bound": {"bound": bound, "within_bound": rank <= bound},
         "ppt": ppt_check(state, tol).to_json(),
@@ -187,7 +187,8 @@ def _render_analysis(report: dict) -> str:
     )
     lines.append(
         f"ppt: {'yes' if ppt['is_ppt'] else 'no'} "
-        f"(min eigenvalue {_fmt(ppt['min_eigenvalue'])}) -> verdict: {ppt['verdict']}"
+        f"(min eigenvalue {_fmt(ppt['min_eigenvalue'])}, threshold {_fmt(ppt['threshold'])}) "
+        f"-> verdict: {ppt['verdict']}"
     )
     lines.append(f"perturbation freedom dimension: {report['perturbation_freedom']}")
     lines.append(
@@ -393,7 +394,7 @@ def cmd_demo(args) -> int:
     check("state marginal on A is identity/2", dev_ma <= 1e-12, f"max deviation {dev_ma:.3e}")
     check("state marginal on B is identity/3", dev_mb <= 1e-12, f"max deviation {dev_mb:.3e}")
 
-    spectrum = eigh(state.mat, args.tol).eigenvalues
+    spectrum = eigvalsh(state.mat, args.tol)
     expected_spec = np.array([0.0, 0.0, 0.0, 0.0, 0.5, 0.5])
     dev_spec = float(np.abs(spectrum - expected_spec).max())
     check("eigenvalues are (0, 0, 0, 0, 1/2, 1/2)", dev_spec <= 1e-12,

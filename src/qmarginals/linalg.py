@@ -2,16 +2,19 @@
 
 Everything downstream works with 2-D ``numpy.ndarray`` values of dtype
 complex128.  Numerical ranks come from LAPACK singular values
-(``numpy.linalg.svd``).  The Hermitian eigensolver ``eigh`` is a single
-pure-Python cyclic Jacobi kernel, due to become ``numpy.linalg.eigh``: every
-matrix it sees is small (dimension <= 64), it is deterministic for a fixed
-input, and its rotation count is easy to audit.
+(``numpy.linalg.svd``).  Questions that read eigenvalues only (positivity,
+the partial-transpose spectrum, a reported spectrum) go to LAPACK through
+``eigvalsh`` (``numpy.linalg.eigvalsh``).  Eigenvectors come from ``eigh``,
+a single pure-Python cyclic Jacobi kernel, due to become
+``numpy.linalg.eigh``: every matrix it sees is small (dimension <= 64), it
+is deterministic for a fixed input, and its rotation count is easy to audit.
+Both share one input contract (``_hermitian_part``).
 
 All tolerances are relative and flow in as parameters; ``DEFAULT_TOL`` is the
 single documented default.
 """
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -132,6 +135,31 @@ def _jacobi_cyclic(a: np.ndarray, v: np.ndarray, max_sweeps: int, off_tol: float
     return -1
 
 
+def _hermitian_part(h, tol: float, name: str) -> Tuple[np.ndarray, float]:
+    """The input contract shared by ``eigh`` and ``eigvalsh``.
+
+    Returns the Hermitian part ``(h + h^dagger) / 2`` and ``frobenius(h)``.
+    Raises ``DimensionMismatch`` for a non-square matrix, ``ValueError`` if
+    ``frobenius(h)`` overflows (finite entries, norm above about 1.3e154),
+    and ``NotHermitian`` if ``h`` deviates from Hermitian by more than
+    ``tol * max(1, ||h||_F)``.
+    """
+    h = as_matrix(h)
+    if h.shape[0] != h.shape[1]:
+        raise DimensionMismatch(f"{name} needs a square matrix, got {h.shape}")
+    with np.errstate(over="ignore"):
+        norm = frobenius(h)
+    if not np.isfinite(norm):
+        raise ValueError(f"{name}: the matrix's Frobenius norm overflows")
+    limit = tol * max(1.0, norm)
+    deviation = frobenius(h - dagger(h))
+    if deviation > limit:
+        raise NotHermitian(
+            f"matrix deviates from Hermitian by {deviation:.3e} (limit {limit:.3e})"
+        )
+    return (h + dagger(h)) / 2.0, norm
+
+
 def eigh(
     h: np.ndarray,
     tol: float = DEFAULT_TOL,
@@ -139,6 +167,8 @@ def eigh(
 ) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
 
+    For callers that read eigenvectors; a caller that needs eigenvalues
+    only uses ``eigvalsh``, which has the same input contract.
     Deterministic for a fixed input: sweeps run in a fixed pivot order and
     stop once the off-diagonal Frobenius norm drops below
     ``JACOBI_OFF_FACTOR * ||h||_F``.  Within degenerate eigenvalue clusters
@@ -149,28 +179,27 @@ def eigh(
     ``NotHermitian`` if ``h`` is not Hermitian within ``tol``; and
     ``NoConvergence`` if ``max_sweeps`` sweeps do not suffice.
     """
-    h = as_matrix(h)
-    if h.shape[0] != h.shape[1]:
-        raise DimensionMismatch(f"eigh needs a square matrix, got {h.shape}")
-    with np.errstate(over="ignore"):
-        norm = frobenius(h)
-    if not np.isfinite(norm):
-        raise ValueError("eigh: the matrix's Frobenius norm overflows")
-    scale = max(1.0, norm)
-    if frobenius(h - dagger(h)) > tol * scale:
-        raise NotHermitian(
-            f"matrix deviates from Hermitian by {frobenius(h - dagger(h)):.3e} "
-            f"(limit {tol * scale:.3e})"
-        )
-    n = h.shape[0]
-    work = np.ascontiguousarray((h + dagger(h)) / 2.0)
-    vecs = np.eye(n, dtype=np.complex128)
+    herm, norm = _hermitian_part(h, tol, "eigh")
+    work = np.ascontiguousarray(herm)
+    vecs = np.eye(work.shape[0], dtype=np.complex128)
     sweeps = _jacobi_cyclic(work, vecs, max_sweeps, JACOBI_OFF_FACTOR * norm)
     if sweeps < 0:
         raise NoConvergence(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
     values = np.diagonal(work).real.copy()
     order = np.argsort(values, kind="stable")
     return HermitianEigen(values[order], np.ascontiguousarray(vecs[:, order]))
+
+
+def eigvalsh(h: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, from LAPACK
+    (``numpy.linalg.eigvalsh``) on its Hermitian part.
+
+    Same input contract as ``eigh``: ``DimensionMismatch`` for a non-square
+    matrix, ``ValueError`` if ``frobenius(h)`` overflows, ``NotHermitian``
+    beyond ``tol * max(1, ||h||_F)``.
+    """
+    herm, _ = _hermitian_part(h, tol, "eigvalsh")
+    return np.linalg.eigvalsh(herm)
 
 
 class RankDecision(NamedTuple):

@@ -6,7 +6,13 @@ normal variates produced by an explicit Box-Muller transform on its uniforms.
 That pins the byte stream *and* the arithmetic mapping uniforms to normals,
 so a seed reproduces the same matrices everywhere.  Generators are values
 passed around explicitly, never module-level state.
+
+Annotations stay strings (``from __future__ import annotations``), so
+``numpy.random`` is imported when a factory first runs, not when the
+package loads.
 """
+
+from __future__ import annotations
 
 import numpy as np
 

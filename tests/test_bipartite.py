@@ -224,6 +224,63 @@ def test_ppt_never_separable_outside_conclusive_dims():
 
 
 # ---------------------------------------------------------------------------
+# near-threshold verdicts: each flips exactly at the limit it reports
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-6])
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_psd_verdict_flips_at_reported_limit(tol, factor):
+    # a 2 x 3 state with minimum eigenvalue -factor * tol in a random basis;
+    # its Frobenius norm is below 1, so the limit is -tol
+    weights = np.array([-factor * tol, 0.1, 0.15, 0.2, 0.25, 0.3])
+    weights[1:] *= (1.0 + factor * tol) / weights[1:].sum()
+    u = sampling.random_unitary(sampling.generator(21), 6)
+    mat = (u * weights) @ u.conj().T
+    limit = -tol * max(1.0, np.linalg.norm(mat))
+    assert limit == -tol
+    violations = state_violations(mat, 2, 3, tol)
+    if factor < 1.0:
+        assert violations == []
+        assert validate_state(mat, 2, 3, tol).dim_b == 3
+        return
+    (violation,) = violations
+    assert violation.kind == "not_psd"
+    assert violation.value == pytest.approx(-factor * tol, abs=1e-15)
+    assert violation.value < limit
+    assert violation.message == f"minimum eigenvalue {violation.value:.3e} below {limit:.3e}"
+    with pytest.raises(NotPSD, match="below") as info:
+        validate_state(mat, 2, 3, tol)
+    assert info.value.min_eigenvalue == violation.value
+
+
+def _isotropic_state(d, p, seed):
+    """p |Phi><Phi| + (1 - p) 1/d^2 on d x d, |Phi> maximally entangled,
+    under a random local unitary.  Its partial transpose has minimum
+    eigenvalue (1 - p) / d^2 - p / d."""
+    phi = np.eye(d, dtype=complex).ravel() / np.sqrt(d)
+    mat = p * np.outer(phi, phi.conj()) + (1.0 - p) * np.eye(d * d) / (d * d)
+    rng = sampling.generator(seed)
+    local = kron(sampling.random_unitary(rng, d), sampling.random_unitary(rng, d))
+    return validate_state(local @ mat @ local.conj().T, d, d)
+
+
+@pytest.mark.parametrize("d,ppt_verdict", [(2, "separable"), (3, "inconclusive")])
+@pytest.mark.parametrize("tol", [1e-8, 1e-6])
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_ppt_verdict_flips_at_reported_threshold(d, ppt_verdict, tol, factor):
+    # p chosen so that the partial transpose has minimum eigenvalue -factor * tol
+    p = (1.0 + factor * tol * d * d) / (1.0 + d)
+    state = _isotropic_state(d, p, seed=d)
+    report = ppt_check(state, tol)
+    assert report.threshold == -tol * max(1.0, np.linalg.norm(partial_transpose_b(state)))
+    assert report.threshold == -tol  # the partial transpose keeps the norm below 1
+    assert report.min_eigenvalue == pytest.approx(-factor * tol, abs=1e-14)
+    assert report.is_ppt == (report.min_eigenvalue >= report.threshold) == (factor < 1.0)
+    assert report.verdict == (ppt_verdict if factor < 1.0 else "entangled")
+    assert report.to_json()["threshold"] == report.threshold
+
+
+# ---------------------------------------------------------------------------
 # maximally entangled projectors
 
 

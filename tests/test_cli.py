@@ -14,10 +14,13 @@ from qmarginals import (
     extremal_qubit_qutrit_map,
     kraus_from_json,
     kraus_to_json,
+    matrix_to_json,
     mix_ops,
+    ppt_check,
     random_kraus,
     sinkhorn_scale,
     state_to_json,
+    state_violations,
     uniform_targets,
     validate_state,
 )
@@ -79,6 +82,27 @@ def test_verify_state_with_kraus_section(example_state_file, example_kraus_file,
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["doubly_constrained"]["verdict"] is True
+
+
+def test_verify_state_shows_ppt_threshold(example_state_file, capsys):
+    assert main(["verify-state", example_state_file, "--json"]) == 0
+    ppt = json.loads(capsys.readouterr().out)["ppt"]
+    assert ppt["threshold"] == -1e-8  # -tol * max(1, ||PT||_F), the norm being below 1
+    assert main(["verify-state", example_state_file]) == 0
+    text = capsys.readouterr().out
+    assert f"(min eigenvalue {ppt['min_eigenvalue']:.6g}, threshold {ppt['threshold']:.6g})" in text
+
+
+def test_verify_state_not_psd_names_its_limit(tmp_path, capsys, example_matrix):
+    bad = example_matrix.copy()
+    bad[0, 0] = -1.2e-7
+    bad[2, 2] += 1.2e-7  # keep the trace at one
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim_a": 2, "dim_b": 3, "matrix": matrix_to_json(bad)}))
+    assert main(["verify-state", "--json", str(path)]) == 1
+    (violation,) = json.loads(capsys.readouterr().out)["violations"]
+    assert violation["kind"] == "not_psd"
+    assert violation["message"] == f"minimum eigenvalue {violation['value']:.3e} below -1.000e-08"
 
 
 def _write_state_and_family(tmp_path, state_kmap, family):
@@ -507,16 +531,79 @@ def test_sinkhorn_rejects_non_psd_target(tmp_path, capsys):
 # module entry point
 
 
-def test_module_entry_point_runs_demo():
+def _run_python(*args):
+    """A fresh interpreter with this checkout's package on its path."""
     src_dir = os.path.dirname(os.path.dirname(qmarginals.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "qmarginals.cli", "demo"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def test_module_entry_point_runs_demo():
+    proc = _run_python("-m", "qmarginals.cli", "demo")
     assert proc.returncode == 0, proc.stderr
     assert "all checks passed" in proc.stdout
+
+
+def test_import_leaves_numpy_random_unloaded(capsys):
+    # numpy.random loads when a seeded factory first runs, not at import;
+    # the demo, which draws nothing, passes without it
+    probe = (
+        "import sys\n"
+        "from qmarginals import cli\n"
+        "loaded = 'numpy.random' in sys.modules\n"
+        "code = cli.main(['demo'])\n"
+        "print(loaded, code, 'numpy.random' in sys.modules)"
+    )
+    proc = _run_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert "all checks passed" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "False 0 False"
+    # a seeded family made after the lazy import equals one made in a
+    # process that loaded numpy.random up front
+    argv = ["sinkhorn", "--n", "2", "--m", "3", "--r", "2", "--seed", "7"]
+    proc = _run_python("-m", "qmarginals.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    import numpy.random  # noqa: F401
+    assert main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# eigenvalue-only paths: LAPACK, never the Jacobi kernel
+
+
+def test_eigenvalue_only_paths_never_reach_jacobi(
+    monkeypatch, capsys, example_map, example_matrix, example_state_file
+):
+    from qmarginals import bipartite, cli, linalg
+
+    state = validate_state(example_matrix, 2, 3)
+    freedom = bipartite.perturbation_freedom_dim(state)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Jacobi kernel was called")
+
+    monkeypatch.setattr(linalg, "_jacobi_cyclic", refuse)
+    with pytest.raises(AssertionError, match="Jacobi"):
+        linalg.eigh(example_matrix)  # the patch is in effect
+    assert state_violations(example_matrix, 2, 3) == []
+    assert validate_state(example_matrix, 2, 3).dim_b == 3
+    assert np.abs(choi_state(example_map).mat - example_matrix).max() < 1e-14
+    assert ppt_check(state).verdict == "entangled"
+
+    # the perturbation oracle reads eigenvectors; it answers from the real
+    # kernel for the one state both commands see
+    def known_freedom(seen, tol):
+        assert np.abs(seen.mat - state.mat).max() <= 1e-14
+        return freedom
+
+    monkeypatch.setattr(cli, "perturbation_freedom_dim", known_freedom)
+    assert main(["verify-state", "--json", example_state_file]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["valid"] and report["ppt"]["verdict"] == "entangled"
+    assert np.allclose(report["eigenvalues"], [0, 0, 0, 0, 0.5, 0.5], atol=1e-12)
+    assert main(["demo", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_passed"]

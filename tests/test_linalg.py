@@ -2,20 +2,26 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import np_rank, random_hermitian, random_psd
 
 from qmarginals import (
     NoConvergence,
     NotHermitian,
     NotPSD,
+    choi_state,
     eigh,
+    eigvalsh,
     kron,
     matrix_from_json,
     matrix_to_json,
     matrix_unit,
     numerical_rank,
+    partial_transpose_b,
     psd_inv_sqrt,
     psd_sqrt,
+    random_kraus,
     rank_with_margin,
 )
 from qmarginals import DimensionMismatch
@@ -131,6 +137,76 @@ def test_eigh_budget_exhaustion_raises():
     h = random_hermitian(rng, 12)
     with pytest.raises(NoConvergence):
         eigh(h, max_sweeps=1)
+
+
+# ---------------------------------------------------------------------------
+# eigvalsh: LAPACK eigenvalues under the input contract of eigh
+
+EIGVALSH_SETTINGS = settings(deadline=None, derandomize=True, max_examples=60)
+
+
+@st.composite
+def hermitian_inputs(draw):
+    """A random Hermitian matrix scaled by a power of ten, a rank-deficient
+    PSD state G G^dagger / tr, or the partial transpose of a random Choi
+    state (not PSD in general)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["hermitian", "low_rank_state", "partial_transpose"]))
+    if kind == "hermitian":
+        return random_hermitian(rng, draw(st.integers(1, 12)), 10.0 ** draw(st.integers(-12, 12)))
+    if kind == "low_rank_state":
+        dim = draw(st.integers(1, 12))
+        g = random_psd(rng, dim, rank=draw(st.integers(1, dim)))
+        return g / np.trace(g).real
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    kmap = random_kraus(n, m, draw(st.integers(1, n * m)), int(rng.integers(0, 2**31)))
+    return partial_transpose_b(choi_state(kmap))
+
+
+@EIGVALSH_SETTINGS
+@given(hermitian_inputs())
+def test_eigvalsh_matches_jacobi_eigh(h):
+    # two independent kernels: LAPACK and the pure-Python Jacobi rotations
+    values = eigvalsh(h)
+    assert values.dtype == np.float64 and values.shape == (h.shape[0],)
+    assert np.all(np.diff(values) >= 0.0)
+    scale = max(1.0, np.linalg.norm(h))
+    assert np.abs(values - eigh(h).eigenvalues).max() <= 1e-12 * scale
+
+
+@EIGVALSH_SETTINGS
+@given(hermitian_inputs())
+def test_eigvalsh_sums_to_trace_and_frobenius(h):
+    values = eigvalsh(h)
+    norm = np.linalg.norm(h)
+    scale = max(1.0, norm)
+    assert abs(values.sum() - np.trace(h).real) <= 1e-12 * scale
+    assert abs(np.sum(values**2) - norm**2) <= 1e-12 * scale**2
+
+
+def test_eigvalsh_rejects_non_hermitian_and_non_square():
+    with pytest.raises(NotHermitian, match="limit"):
+        eigvalsh(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+    with pytest.raises(DimensionMismatch, match="square"):
+        eigvalsh(np.zeros((2, 3), dtype=complex))
+
+
+def test_eigvalsh_tolerates_deviation_within_tol():
+    # the Hermitian part (h + h^dagger) / 2 is diagonalised, as in eigh; on a
+    # degenerate diagonal its off-diagonal half moves the eigenvalues at
+    # first order, where one triangle alone would give (1, 1)
+    h = np.array([[1.0, 1e-9], [0.0, 1.0]], dtype=complex)
+    assert np.abs(eigvalsh(h) - [1 - 5e-10, 1 + 5e-10]).max() <= 1e-15
+    assert np.abs(eigvalsh(h) - eigh(h).eigenvalues).max() <= 1e-15
+    with pytest.raises(NotHermitian):
+        eigvalsh(h, tol=1e-10)
+
+
+def test_eigvalsh_refuses_overflowing_norm():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="norm overflows"):
+            eigvalsh(np.full((6, 6), 1e200, dtype=complex))
 
 
 def test_numerical_rank_zero_matrix():
