@@ -12,7 +12,9 @@ map taking a matrix X on the state's range to the two marginals of
 B X B^dagger, B an isometry onto that range (Landau-Streater).
 
 The positivity check and the partial-transpose spectrum read eigenvalues
-only and take them from LAPACK (``linalg.eigvalsh``); the support basis
+only and take them from LAPACK: the partial transpose through
+``linalg.eigvalsh``, the positivity check from the Hermitian part its one
+Hermiticity pass already formed.  The support basis
 behind the extremality oracle and the Kraus recovery reads eigenvectors and
 still comes from the Jacobi ``linalg.eigh``.
 """
@@ -106,7 +108,13 @@ class PptReport:
 
 def state_violations(mat, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) -> List[Violation]:
     """Every density-matrix invariant that ``mat`` violates, in check order
-    (dimensions, Hermiticity, positivity, trace).  Empty list means valid."""
+    (dimensions, Hermiticity, positivity, trace).  Empty list means valid.
+
+    One Hermiticity pass (``linalg._hermitian_split``) gives the scale
+    ``max(1, ||mat||_F)``, the deviation from Hermitian and the Hermitian
+    part, whose eigenvalues come straight from LAPACK: the same values
+    ``eigvalsh`` would return, without checking the input a second time.
+    Raises ``ValueError`` if ``||mat||_F`` overflows."""
     mat = as_matrix(mat)
     d = dim_a * dim_b
     if mat.shape != (d, d):
@@ -117,15 +125,17 @@ def state_violations(mat, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) -> L
                 f"for dims ({dim_a}, {dim_b})",
             )
         ]
+    herm, norm, herm_dev = linalg._hermitian_split(mat)
+    if not math.isfinite(norm):
+        raise ValueError("state_violations: the matrix's Frobenius norm overflows")
     out: List[Violation] = []
-    scale = max(1.0, frobenius(mat))
-    herm_dev = frobenius(mat - dagger(mat))
+    scale = max(1.0, norm)
     if herm_dev > tol * scale:
         out.append(
             Violation("not_hermitian", f"Hermiticity deviation {herm_dev:.3e}", herm_dev)
         )
     else:
-        lam_min = float(eigvalsh(mat, tol)[0])
+        lam_min = float(np.linalg.eigvalsh(herm)[0])
         if lam_min < -tol * scale:
             out.append(
                 Violation(

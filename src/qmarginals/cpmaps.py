@@ -22,7 +22,7 @@ properties.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -169,27 +169,32 @@ def choi_state(kmap: KrausMap, tol: float = DEFAULT_TOL) -> BipartiteState:
 
 
 def _independence_report(
-    criterion: str,
-    kmap: KrausMap,
-    row: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    tol: float,
+    criterion: str, kmap: KrausMap, both_sums: bool, tol: float
 ) -> ExtremalityReport:
-    """Rank test on the r^2 rows ``row(V_i, V_j)``: the family is
-    independent exactly when the stacked rows have full rank r^2."""
-    ops = kmap.ops
-    rows = np.array([row(ops[i], ops[j]) for i in range(kmap.r) for j in range(kmap.r)])
+    """Rank test on the r^2 rows of the pairs (i, j), pair (i, j) at row
+    i * r + j: vec(V_i^dagger V_j), followed by vec(V_j V_i^dagger) when
+    ``both_sums``.  The family is independent exactly when the stacked rows
+    have full rank r^2.
+
+    Each block is one broadcast ``matmul`` over the ``(r, n, m)`` stack of
+    the operators, which forms every pair's product exactly as a separate
+    ``V_i^dagger @ V_j`` would, so rows and margins are bit-identical to the
+    pairwise construction."""
+    r = kmap.r
+    ops = np.stack(kmap.ops)  # r x n x m
+    adj = ops.conj().transpose(0, 2, 1)  # the V_l^dagger
+    blocks = [np.matmul(adj[:, None], ops[None])]  # [i, j] = V_i^dagger V_j
+    if both_sums:
+        blocks.append(np.matmul(ops[None], adj[:, None]))  # [i, j] = V_j V_i^dagger
+    rows = np.concatenate([block.reshape(r * r, -1) for block in blocks], axis=1)
     decision = rank_with_margin(rows, tol)
-    return ExtremalityReport(
-        criterion, kmap.r**2, decision.rank, decision.rank == kmap.r**2, decision
-    )
+    return ExtremalityReport(criterion, r * r, decision.rank, decision.rank == r * r, decision)
 
 
 def choi_extremality(kmap: KrausMap, tol: float = DEFAULT_TOL) -> ExtremalityReport:
     """Extremality among CP maps with the same value on the identity:
     rank test on the r^2 products V_i^dagger V_j stacked as rows."""
-    return _independence_report(
-        CRITERION_CHOI, kmap, lambda vi, vj: np.ravel(dagger(vi) @ vj), tol
-    )
+    return _independence_report(CRITERION_CHOI, kmap, False, tol)
 
 
 def doubly_constrained_extremality(
@@ -203,12 +208,7 @@ def doubly_constrained_extremality(
     independent.  Coefficients live over the complex field, so the rank is
     computed there.
     """
-    return _independence_report(
-        CRITERION_LANDAU_STREATER,
-        kmap,
-        lambda vi, vj: np.concatenate([np.ravel(dagger(vi) @ vj), np.ravel(vj @ dagger(vi))]),
-        tol,
-    )
+    return _independence_report(CRITERION_LANDAU_STREATER, kmap, True, tol)
 
 
 def kraus_from_state(state: BipartiteState, tol: float = DEFAULT_TOL) -> KrausMap:

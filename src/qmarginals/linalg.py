@@ -8,12 +8,16 @@ the partial-transpose spectrum, a reported spectrum) go to LAPACK through
 a single pure-Python cyclic Jacobi kernel, due to become
 ``numpy.linalg.eigh``: every matrix it sees is small (dimension <= 64), it
 is deterministic for a fixed input, and its rotation count is easy to audit.
-Both share one input contract (``_hermitian_part``).
+Both share one input contract (``_hermitian_part``), built on a
+non-raising core (``_hermitian_split``) that the state validator reads too,
+so a state's Hermiticity is checked once.  ``frobenius`` applies the
+formula of ``numpy.linalg.norm`` without its argument handling.
 
 All tolerances are relative and flow in as parameters; ``DEFAULT_TOL`` is the
 single documented default.
 """
 
+import math
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -29,11 +33,12 @@ JACOBI_OFF_FACTOR = 1e-12
 
 
 def as_matrix(value) -> np.ndarray:
-    """Coerce to a 2-D complex128 array, rejecting non-finite entries."""
+    """Coerce to a 2-D complex128 array, rejecting non-finite entries (one
+    ``isfinite`` pass: a complex entry is finite when both parts are)."""
     mat = np.asarray(value, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
         raise DimensionMismatch(f"expected a 2-D matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
+    if not np.isfinite(mat).all():
         raise ValueError("matrix entries must be finite")
     return mat
 
@@ -44,8 +49,15 @@ def dagger(mat: np.ndarray) -> np.ndarray:
 
 
 def frobenius(mat: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(mat))
+    """Frobenius norm of a complex matrix, by the formula of
+    ``numpy.linalg.norm`` without its argument handling, so the values are
+    identical: the square root of the dot products of the flattened real and
+    imaginary parts with themselves.  The sum of squares is not rescaled,
+    so a norm above about 1.3e154 comes out inf, with numpy's overflow
+    warning unless the caller silences it."""
+    flat = np.asarray(mat, dtype=np.complex128).ravel(order="K")
+    re, im = flat.real, flat.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
@@ -135,29 +147,39 @@ def _jacobi_cyclic(a: np.ndarray, v: np.ndarray, max_sweeps: int, off_tol: float
     return -1
 
 
+def _hermitian_split(h: np.ndarray) -> Tuple[np.ndarray, float, float]:
+    """The non-raising core of the input contract of ``eigh`` and
+    ``eigvalsh``, for a square complex128 matrix ``h``: its Hermitian part
+    ``(h + h^dagger) / 2``, ``frobenius(h)`` and the deviation
+    ``frobenius(h - h^dagger)``.  The norm is inf when its sum of squares
+    overflows (finite entries, norm above about 1.3e154); no warning is
+    raised for it."""
+    adj = dagger(h)
+    with np.errstate(over="ignore"):
+        return (h + adj) / 2.0, frobenius(h), frobenius(h - adj)
+
+
 def _hermitian_part(h, tol: float, name: str) -> Tuple[np.ndarray, float]:
     """The input contract shared by ``eigh`` and ``eigvalsh``.
 
-    Returns the Hermitian part ``(h + h^dagger) / 2`` and ``frobenius(h)``.
-    Raises ``DimensionMismatch`` for a non-square matrix, ``ValueError`` if
-    ``frobenius(h)`` overflows (finite entries, norm above about 1.3e154),
-    and ``NotHermitian`` if ``h`` deviates from Hermitian by more than
+    Returns the Hermitian part ``(h + h^dagger) / 2`` and ``frobenius(h)``
+    from ``_hermitian_split``.  Raises ``DimensionMismatch`` for a
+    non-square matrix, ``ValueError`` if ``frobenius(h)`` overflows, and
+    ``NotHermitian`` if ``h`` deviates from Hermitian by more than
     ``tol * max(1, ||h||_F)``.
     """
     h = as_matrix(h)
     if h.shape[0] != h.shape[1]:
         raise DimensionMismatch(f"{name} needs a square matrix, got {h.shape}")
-    with np.errstate(over="ignore"):
-        norm = frobenius(h)
-    if not np.isfinite(norm):
+    herm, norm, deviation = _hermitian_split(h)
+    if not math.isfinite(norm):
         raise ValueError(f"{name}: the matrix's Frobenius norm overflows")
     limit = tol * max(1.0, norm)
-    deviation = frobenius(h - dagger(h))
     if deviation > limit:
         raise NotHermitian(
             f"matrix deviates from Hermitian by {deviation:.3e} (limit {limit:.3e})"
         )
-    return (h + dagger(h)) / 2.0, norm
+    return herm, norm
 
 
 def eigh(

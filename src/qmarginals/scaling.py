@@ -9,15 +9,20 @@ there is no convergence theorem behind it, so budget exhaustion raises
 ``NoConvergence`` with the full residual history attached rather than
 returning a silently truncated family.
 
-The iteration holds the family as one C-contiguous complex ``(n, r, m)``
-array F, with F[i, l] row i of operator V_l, and never forms a sum.  Both
-stacks are free reshapes of it: the nr x m column stack A has
+The iteration holds the family in one C-contiguous complex ``(n, r, m)``
+buffer F, with F[i, l] row i of operator V_l, and never forms a sum.  Both
+stacks are views of it, made once: the nr x m column stack A has
 A^dagger A = sum V^dagger V, and the n x rm row stack B has
-B B^dagger = sum V V^dagger.  Each half-step replaces its stack by the
-stack's polar factor on the support, read off one thin LAPACK SVD
-(``numpy.linalg.svd``), times the target root.  A squared singular value
-counts as support when it exceeds ``tol * max(1, sigma_max^2)``, the rule
-applied to the eigenvalues of the targets.
+B B^dagger = sum V V^dagger.  Each half-step writes the stack's polar
+factor on the support, read off one thin LAPACK SVD
+(``numpy.linalg.svd``), times the target root straight back into its view,
+so an iteration costs its two SVDs, a few small products and the two
+residuals, and allocates no new family.  A squared singular value counts
+as support when it exceeds ``tol * max(1, sigma_max^2)``, the rule applied
+to the eigenvalues of the targets.  The report's ``contraction_rate``, the
+median ratio of successive worst residuals near the end of the history,
+says how fast a run was still closing in, and a budget-exhausted run names
+it together with the side further from its target.
 
 Feeding converged candidates through the doubly-constrained extremality
 test is the search pipeline for new extreme points of fixed-marginals
@@ -25,7 +30,7 @@ state sets (``find_extremal_candidate``).
 """
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -109,7 +114,10 @@ class ScalingReport:
     ``(iterations + 1, 2)`` float64 array of ``(residual_K, residual_L)``
     rows: row 0 is the state of the input family; one row follows per
     completed iteration.  A read-only float64 array of that shape is adopted
-    as it is; any other sequence of pairs is copied into one."""
+    as it is; any other sequence of pairs is copied into one.
+
+    ``contraction_rate`` is read off ``history`` when asked for, never
+    during the iteration."""
 
     iterations: int
     residual_K: float
@@ -131,9 +139,22 @@ class ScalingReport:
             history.setflags(write=False)
             object.__setattr__(self, "history", history)
 
+    @property
+    def contraction_rate(self) -> Optional[float]:
+        """Median ratio of successive worst residuals max(residual_K,
+        residual_L) over the last (at most) ten history rows, or ``None``
+        with fewer than two iterations.  Below 1 the iteration contracts;
+        the closer to 1, the slower."""
+        if len(self.history) < 3:
+            return None
+        worst = self.history[-10:].max(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.median(worst[1:] / worst[:-1]))
+
     def to_json(self, max_history: int = 0) -> dict:
         """JSON form; ``max_history`` > 0 keeps only the last that many
-        history entries (the report value itself is never truncated)."""
+        history entries (the report value itself is never truncated).
+        ``"contraction_rate"`` is computed from the full history."""
         history = self.history.tolist()
         if max_history > 0:
             history = history[-max_history:]
@@ -142,6 +163,7 @@ class ScalingReport:
             "residual_k": float(self.residual_K),
             "residual_l": float(self.residual_L),
             "converged": self.converged,
+            "contraction_rate": self.contraction_rate,
             "history": history,
         }
 
@@ -159,14 +181,15 @@ def random_kraus(n: int, m: int, r: int, seed: int) -> KrausMap:
     return KrausMap(n, m, tuple(op * scale for op in ops))
 
 
-def _residuals(family: np.ndarray, target_K, target_L) -> Tuple[float, float]:
-    """Residuals of an ``(n, r, m)`` family, with sum V^dagger V formed as
-    A^dagger A of its nr x m column stack A and sum V V^dagger as B B^dagger
-    of its n x rm row stack B."""
-    n, r, m = family.shape
-    cols = family.reshape(n * r, m)
-    rows = family.reshape(n, r * m)
-    return frobenius(dagger(cols) @ cols - target_K), frobenius(rows @ dagger(rows) - target_L)
+def _residuals(cols: np.ndarray, rows: np.ndarray, target_K, target_L) -> Tuple[float, float]:
+    """Residuals of a family given as its nr x m column stack A, with
+    sum V^dagger V = A^dagger A, and its n x rm row stack B, with
+    sum V V^dagger = B B^dagger."""
+    gram_k = dagger(cols).dot(cols)
+    gram_k -= target_K
+    gram_l = rows.dot(dagger(rows))
+    gram_l -= target_L
+    return frobenius(gram_k), frobenius(gram_l)
 
 
 def residuals(kmap: KrausMap, target_K, target_L) -> Tuple[float, float]:
@@ -181,7 +204,9 @@ def residuals(kmap: KrausMap, target_K, target_L) -> Tuple[float, float]:
         raise DimensionMismatch(
             f"target_L is {target_L.shape}, expected ({kmap.n}, {kmap.n})"
         )
-    return _residuals(np.stack(kmap.ops, axis=1), target_K, target_L)
+    family = np.stack(kmap.ops, axis=1)
+    n, r, m = family.shape
+    return _residuals(family.reshape(n * r, m), family.reshape(n, r * m), target_K, target_L)
 
 
 def _support_mask(values: np.ndarray, largest: float, tol: float) -> np.ndarray:
@@ -217,23 +242,29 @@ def sinkhorn_scale(
     support ranks are counted at ``tol``, come from ``config``: scaling
     diagonalises nothing.
 
-    The family is one C-contiguous ``(n, r, m)`` array, transposed once from
-    the operators on entry and once back into the returned ``KrausMap``; its
-    nr x m column stack A and n x rm row stack B are free reshapes.  With
-    U_k, V_k^dagger the support part of a thin SVD of a stack, the right step
-    sets A <- U_k V_k^dagger K^(1/2) = A (A^dagger A)^(-1/2) K^(1/2) and the
-    left step B <- L^(1/2) U_k V_k^dagger = L^(1/2) (B B^dagger)^(-1/2) B,
-    inverse roots on the support, without forming either.  Support is
-    decided on the squared singular values,
-    ``sigma^2 > tol * max(1, sigma_max^2)``.  The residual history is written
-    into a float64 array that doubles when full, so a large ``max_iter``
-    costs nothing up front, and is trimmed once into the report's read-only
-    ``history``.
+    The family lives in one C-contiguous ``(n, r, m)`` buffer, stacked from
+    the operators on entry and transposed once into the returned
+    ``KrausMap``.  Its nr x m column stack A and n x rm row stack B are two
+    views of that buffer, made once.  With U_k, V_k^dagger the support part
+    of a thin SVD of a stack, the right step writes
+    A <- U_k V_k^dagger K^(1/2) = A (A^dagger A)^(-1/2) K^(1/2) and the left
+    step B <- L^(1/2) U_k V_k^dagger = L^(1/2) (B B^dagger)^(-1/2) B straight
+    into the buffer (``ndarray.dot`` with ``out=`` the view), inverse roots
+    on the support without forming either.  An iteration is thus two thin
+    SVDs, two small products per half-step and the two residuals; every
+    product is ``ndarray.dot``, the same BLAS call as ``@`` and bit-identical
+    to it, with less call overhead.  Support is decided on the squared
+    singular values (``_polar_on_support``), by
+    ``sigma^2 > tol * max(1, sigma_max^2)``.  The residual history is
+    written into a float64 array that doubles when full, so a large
+    ``max_iter`` costs nothing up front, and is trimmed once into the
+    report's read-only ``history``.
 
     Raises ``SingularScaling`` as soon as an intermediate sum has smaller
     support than its target (the scaling can then never reach it), and
-    ``NoConvergence`` -- carrying the report and the partially scaled family
-    -- when the budget runs out.
+    ``NoConvergence`` -- carrying the report and the partially scaled family,
+    and naming the side further from its target and the report's
+    ``contraction_rate`` -- when the budget runs out.
     """
     n, m, r = kmap.n, kmap.m, kmap.r
     target_K, target_L = config.target_K, config.target_L
@@ -248,28 +279,30 @@ def sinkhorn_scale(
     rank_l = int(np.count_nonzero(_support_mask(spectrum_l, float(spectrum_l[-1]), tol)))
 
     family = np.stack(kmap.ops, axis=1)
-    res_k, res_l = _residuals(family, target_K, target_L)
+    cols = family.reshape(n * r, m)  # views: every write lands in family
+    rows = family.reshape(n, r * m)
+    res_k, res_l = _residuals(cols, rows, target_K, target_L)
     history = np.empty((64, 2))
     history[0] = res_k, res_l
 
     iterations = 0
     while max(res_k, res_l) > config.residual_tol and iterations < config.max_iter:
-        u, vh = _polar_on_support(family.reshape(n * r, m), tol)
+        u, vh = _polar_on_support(cols, tol)
         if len(vh) < rank_k:
             raise SingularScaling(
                 f"sum V^dagger V has rank {len(vh)}, below the target rank {rank_k}"
             )
-        family = (u @ (vh @ sqrt_k)).reshape(n, r, m)
+        u.dot(vh.dot(sqrt_k), out=cols)
 
-        u, vh = _polar_on_support(family.reshape(n, r * m), tol)
+        u, vh = _polar_on_support(rows, tol)
         if len(vh) < rank_l:
             raise SingularScaling(
                 f"sum V V^dagger has rank {len(vh)}, below the target rank {rank_l}"
             )
-        family = (sqrt_l @ (u @ vh)).reshape(n, r, m)
+        sqrt_l.dot(u.dot(vh), out=rows)
 
         iterations += 1
-        res_k, res_l = _residuals(family, target_K, target_L)
+        res_k, res_l = _residuals(cols, rows, target_K, target_L)
         if iterations == len(history):
             history = np.concatenate([history, np.empty_like(history)])
         history[iterations] = res_k, res_l
@@ -281,9 +314,13 @@ def sinkhorn_scale(
     report = ScalingReport(iterations, res_k, res_l, converged, history)
     scaled = KrausMap(n, m, tuple(family.transpose(1, 0, 2)))
     if not converged:
+        side = "sum V^dagger V" if res_k >= res_l else "sum V V^dagger"
+        rate = report.contraction_rate
+        rate_text = "n/a" if rate is None else f"{rate:.6f} per iteration"
         raise NoConvergence(
             f"residuals ({res_k:.3e}, {res_l:.3e}) above {config.residual_tol:.1e} "
-            f"after {iterations} iterations",
+            f"after {iterations} iterations; {side} is further from its target, "
+            f"contraction rate {rate_text}",
             report=report,
             kraus=scaled,
         )

@@ -4,10 +4,14 @@ Everything here deliberately takes a different route from the package code:
 numpy.linalg for spectra, bra-ket sums for partial traces, index loops for
 partial transposes, the definitional double sum for composite states, and
 operator Sinkhorn scaling through eigendecompositions of formed sums where
-the package takes SVDs of stacked operators.
-The exception is ``np_rank``: the package also counts singular values from
-LAPACK, so rank checks that do not lean on the same routine live in
-``test_properties.py`` and take their expected ranks from the construction.
+the package takes SVDs of stacked operators, and independence rows formed
+one operator pair at a time where the package forms them for the whole
+stack at once.
+The exceptions are ``np_rank``, since the package also counts singular
+values from LAPACK (rank checks that do not lean on the same routine live
+in ``test_properties.py`` and take their expected ranks from the
+construction), and ``sinkhorn_by_svd``, a frozen copy of the package's
+earlier SVD loop that the current one must match bit for bit.
 """
 
 import numpy as np
@@ -158,3 +162,81 @@ def sinkhorn_by_eigh(ops, target_k, target_l, max_iter, residual_tol=1e-10, tol=
         ops = [sqrt_l @ inv_sl @ op for op in ops]
         iterations += 1
     return "converged", iterations, ops
+
+
+def sinkhorn_by_svd(ops, config, tol=1e-8):
+    """The SVD half-step Sinkhorn loop as it stood before its half-steps
+    wrote into one buffer, kept as a reference for that rewrite: each
+    half-step reshapes the ``(n, r, m)`` family into a stack, builds a new
+    family from the stack's polar factor on its support times the target
+    root, and the residuals come from ``np.linalg.norm``.  Reads the targets,
+    roots and spectra of the ``ScalingConfig`` ``config``.
+
+    Returns ``(outcome, iterations, message, family, history)`` with outcome
+    "converged", "no_convergence" or "singular"; ``message`` is the text of
+    the exception the loop raised (None when converged), and ``family``
+    (``(r, n, m)``) and ``history`` are None for "singular".
+    """
+    family = np.stack([np.asarray(op, dtype=complex) for op in ops], axis=1)
+    n, r, m = family.shape
+    target_k, target_l = config.target_K, config.target_L
+    sqrt_k, sqrt_l = config._root_K, config._root_L
+
+    def support_rank(values, largest):
+        return int(np.count_nonzero(values > tol * max(1.0, largest)))
+
+    def polar(stack):
+        u, sigmas, vh = np.linalg.svd(stack, full_matrices=False)
+        grams = sigmas * sigmas
+        k = support_rank(grams, float(grams[0]))
+        return u[:, :k], vh[:k]
+
+    def residuals(family):
+        cols = family.reshape(n * r, m)
+        rows = family.reshape(n, r * m)
+        return (
+            float(np.linalg.norm(cols.conj().T @ cols - target_k)),
+            float(np.linalg.norm(rows @ rows.conj().T - target_l)),
+        )
+
+    rank_k = support_rank(config._spectrum_K, float(config._spectrum_K[-1]))
+    rank_l = support_rank(config._spectrum_L, float(config._spectrum_L[-1]))
+    history = [residuals(family)]
+    iterations = 0
+    while max(history[-1]) > config.residual_tol and iterations < config.max_iter:
+        u, vh = polar(family.reshape(n * r, m))
+        if len(vh) < rank_k:
+            message = f"sum V^dagger V has rank {len(vh)}, below the target rank {rank_k}"
+            return "singular", iterations, message, None, None
+        family = (u @ (vh @ sqrt_k)).reshape(n, r, m)
+        u, vh = polar(family.reshape(n, r * m))
+        if len(vh) < rank_l:
+            message = f"sum V V^dagger has rank {len(vh)}, below the target rank {rank_l}"
+            return "singular", iterations, message, None, None
+        family = (sqrt_l @ (u @ vh)).reshape(n, r, m)
+        iterations += 1
+        history.append(residuals(family))
+    res_k, res_l = history[-1]
+    if max(res_k, res_l) <= config.residual_tol:
+        outcome, message = "converged", None
+    else:
+        outcome = "no_convergence"
+        message = (
+            f"residuals ({res_k:.3e}, {res_l:.3e}) above {config.residual_tol:.1e} "
+            f"after {iterations} iterations"
+        )
+    return outcome, iterations, message, family.transpose(1, 0, 2), np.array(history)
+
+
+def extremality_rows_by_pairs(ops, both_sums):
+    """The r^2 rows of the independence tests built one pair at a time, pair
+    (i, j) at row i * r + j: vec(V_i^dagger V_j), followed by
+    vec(V_j V_i^dagger) when ``both_sums``."""
+    rows = []
+    for vi in ops:
+        for vj in ops:
+            row = [np.ravel(vi.conj().T @ vj)]
+            if both_sums:
+                row.append(np.ravel(vj @ vi.conj().T))
+            rows.append(np.concatenate(row))
+    return np.array(rows)

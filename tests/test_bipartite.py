@@ -17,8 +17,10 @@ from qmarginals import (
     NotPSD,
     NotUnitary,
     TraceNotOne,
+    bipartite,
     check_rank_bound,
     kron,
+    linalg,
     max_entangled_projector,
     numerical_rank,
     parthasarathy_bound,
@@ -81,6 +83,30 @@ def test_validate_rejects_wrong_trace():
     with pytest.raises(TraceNotOne) as info:
         validate_state(np.eye(4, dtype=complex), 2, 2)
     assert info.value.trace == pytest.approx(4.0)
+
+
+def test_validation_takes_one_hermiticity_pass(monkeypatch, example_matrix):
+    # the scale, the deviation and the Hermitian part handed to LAPACK come
+    # from one pass: two Frobenius norms per validated state
+    calls = []
+    frobenius = linalg.frobenius
+
+    def counting(mat):
+        calls.append(np.shape(mat))
+        return frobenius(mat)
+
+    monkeypatch.setattr(linalg, "frobenius", counting)
+    monkeypatch.setattr(bipartite, "frobenius", counting)
+    state = validate_state(example_matrix, 2, 3)
+    assert calls == [(6, 6), (6, 6)]
+    assert np.array_equal(state.mat, example_matrix)
+
+
+def test_validation_refuses_overflowing_norm():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="norm overflows"):
+            state_violations(np.full((6, 6), 1e200), 2, 3)
 
 
 def test_state_matrix_is_read_only(example_state):

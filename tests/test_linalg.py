@@ -25,6 +25,7 @@ from qmarginals import (
     rank_with_margin,
 )
 from qmarginals import DimensionMismatch
+from qmarginals.linalg import as_matrix, frobenius
 
 
 def test_matrix_unit_basic():
@@ -207,6 +208,33 @@ def test_eigvalsh_refuses_overflowing_norm():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="norm overflows"):
             eigvalsh(np.full((6, 6), 1e200, dtype=complex))
+
+
+@EIGVALSH_SETTINGS
+@given(
+    st.integers(1, 9),
+    st.integers(1, 9),
+    st.integers(-300, 300),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_frobenius_is_numpy_norm_bit_for_bit(rows, cols, exponent, transposed, seed):
+    rng = np.random.default_rng(seed)
+    mat = (rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))) * 10.0**exponent
+    if transposed:
+        mat = mat.T  # not C-contiguous
+    with np.errstate(over="ignore"):
+        assert frobenius(mat) == float(np.linalg.norm(mat))
+
+
+@pytest.mark.parametrize(
+    "entry", [complex(np.nan, 0.0), complex(0.0, np.inf), complex(-np.inf, 1.0), complex(1.0, np.nan)]
+)
+def test_as_matrix_rejects_each_non_finite_part(entry):
+    mat = np.ones((2, 2), dtype=complex)
+    mat[1, 0] = entry
+    with pytest.raises(ValueError, match="finite"):
+        as_matrix(mat)
 
 
 def test_numerical_rank_zero_matrix():

@@ -17,12 +17,13 @@ runs are derandomized so the suite stays reproducible.
 """
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import perturbation_dim_brute
+from oracles import extremality_rows_by_pairs, perturbation_dim_brute
 
 from qmarginals import (
     KrausMap,
@@ -47,7 +48,7 @@ from qmarginals import (
     state_to_json,
     validate_state,
 )
-from qmarginals import sampling
+from qmarginals import cpmaps, sampling
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 PROPERTY_SETTINGS = settings(deadline=None, derandomize=True, max_examples=60)
@@ -99,6 +100,29 @@ def test_independence_oracle_and_bound_agree(n, m, r, seed):
     verdict = doubly_constrained_extremality(kmap).verdict
     no_freedom = perturbation_freedom_dim(choi_state(kmap)) == 0
     assert verdict == no_freedom == (r <= parthasarathy_bound(n, m))
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(2, 4), st.integers(2, 4), st.integers(1, 6), SEEDS)
+def test_stacked_independence_rows_match_pairwise_rows(n, m, r, seed):
+    kmap = random_kraus(n, m, r, seed)
+    for criterion, both_sums in ((choi_extremality, False), (doubly_constrained_extremality, True)):
+        captured = []
+
+        def capture(rows, tol):
+            captured.append(rows)
+            return rank_with_margin(rows, tol)
+
+        with mock.patch.object(cpmaps, "rank_with_margin", capture):
+            report = criterion(kmap)
+        (rows,) = captured
+        reference = extremality_rows_by_pairs(kmap.ops, both_sums)
+        assert rows.shape == reference.shape == (r * r, m * m + (n * n if both_sums else 0))
+        assert np.abs(rows - reference).max() <= 1e-15
+        expected = rank_with_margin(reference)
+        assert report.stacked_rank == expected.rank
+        assert report.verdict == (expected.rank == r * r)
+        assert report.margin == expected
 
 
 def _state_invariants(state):

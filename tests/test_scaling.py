@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import _np_root_and_inv_root, sinkhorn_by_eigh
+from oracles import _np_root_and_inv_root, sinkhorn_by_eigh, sinkhorn_by_svd
 
 from qmarginals import (
     InfeasibleRank,
@@ -241,6 +241,55 @@ def test_huge_budget_is_not_preallocated():
     assert report.history.shape == (report.iterations + 1, 2)
 
 
+def _geometric_history(first, rate, rows):
+    worst = first * rate ** np.arange(rows)
+    return np.stack([worst, worst / 3.0], axis=1)
+
+
+@pytest.mark.parametrize("rate", [0.5, 0.97, 0.999])
+def test_contraction_rate_of_geometric_history(rate):
+    # ten rows at the final rate after forty at a faster one: only the last
+    # ten rows count
+    head = _geometric_history(1.0, rate / 2, 40)
+    tail = _geometric_history(head[-1, 0] * rate, rate, 10)
+    report = ScalingReport(49, tail[-1, 0], tail[-1, 1], False, np.concatenate([head, tail]))
+    assert report.contraction_rate == pytest.approx(rate, rel=1e-12)
+    assert report.to_json()["contraction_rate"] == report.contraction_rate
+    assert report.to_json(max_history=2)["contraction_rate"] == report.contraction_rate
+
+
+def test_contraction_rate_needs_two_iterations():
+    assert ScalingReport(0, 0.0, 0.0, True).contraction_rate is None
+    assert ScalingReport(1, 0.1, 0.1, False, _geometric_history(1.0, 0.5, 2)).contraction_rate is None
+    two = ScalingReport(2, 0.25, 0.25, False, _geometric_history(1.0, 0.5, 3))
+    assert two.contraction_rate == 0.5
+    assert ScalingReport(0, 0.0, 0.0, True).to_json()["contraction_rate"] is None
+
+
+def test_exhausted_budget_names_stalled_side_and_rate():
+    # a skewed (2,3,2) candidate that needs more than 500 iterations
+    target_k, target_l = _targets(2, 3, skewed=True, seed=0)
+    config = ScalingConfig(target_k, target_l, max_iter=500)
+    with pytest.raises(NoConvergence) as info:
+        sinkhorn_scale(random_kraus(2, 3, 2, 0), config)
+    report = info.value.report
+    worst = np.maximum(report.history[-10:, 0], report.history[-10:, 1])
+    rate = float(np.median(worst[1:] / worst[:-1]))
+    assert report.contraction_rate == rate
+    assert 0.9 < rate < 1.0
+    # the left step comes last, so the K side is the one left off target
+    assert report.residual_K > report.residual_L
+    message = str(info.value)
+    assert "sum V^dagger V is further from its target" in message
+    assert f"contraction rate {rate:.6f} per iteration" in message
+
+
+def test_one_iteration_budget_reports_no_rate():
+    config = ScalingConfig(UNIFORM_23.target_K, UNIFORM_23.target_L, max_iter=1)
+    with pytest.raises(NoConvergence, match="contraction rate n/a"):
+        sinkhorn_scale(random_kraus(2, 3, 2, 0), config)
+
+
 # ---------------------------------------------------------------------------
 # agreement with an independent eigh-based reference
 
@@ -378,6 +427,53 @@ def test_scaling_commutes_with_mixing(shape, seed, mix_seed):
     assert report_mixed.iterations == report.iterations
     expected = np.stack(mix_ops(scaled, u).ops)
     assert np.abs(np.stack(scaled_mixed.ops) - expected).max() <= 1e-10
+
+
+EQUIVALENCE_SHAPES = [
+    (2, 3, 2), (3, 3, 3), (4, 4, 4), (2, 2, 1), (3, 2, 2), (1, 3, 2), (1, 4, 3), (2, 4, 3)
+]
+
+
+def _rank_deficient_targets(n, m, r, seed):
+    """A K of rank min(m - 1, r n) with a uniform L."""
+    rng = np.random.default_rng([seed, n, m, r])
+    k = min(m - 1, r * n)
+    g = rng.normal(size=(m, k)) + 1j * rng.normal(size=(m, k))
+    return g @ g.conj().T / np.vdot(g, g).real, np.eye(n) / n
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(
+    shape=st.sampled_from(EQUIVALENCE_SHAPES),
+    targets=st.sampled_from(["uniform", "skewed", "rank_deficient_k"]),
+    seed=SEEDS,
+)
+def test_in_place_loop_matches_frozen_svd_loop(shape, targets, seed):
+    n, m, r = shape
+    if targets == "rank_deficient_k":
+        target_k, target_l = _rank_deficient_targets(n, m, r, seed)
+    else:
+        target_k, target_l = _targets(n, m, targets == "skewed", seed)
+    config = ScalingConfig(target_k, target_l, max_iter=500)
+    kmap = random_kraus(n, m, r, seed)
+    ref_outcome, ref_iterations, ref_message, ref_family, ref_history = sinkhorn_by_svd(
+        kmap.ops, config
+    )
+    try:
+        scaled, report = sinkhorn_scale(kmap, config)
+        outcome, message = "converged", None
+    except NoConvergence as exc:
+        scaled, report = exc.kraus, exc.report
+        outcome, message = "no_convergence", str(exc)
+    except SingularScaling as exc:
+        assert ("singular", str(exc)) == (ref_outcome, ref_message)
+        return
+    assert (outcome, report.iterations) == (ref_outcome, ref_iterations)
+    if message is not None:
+        # the frozen loop's message, then the side and the contraction rate
+        assert message.startswith(ref_message + "; ")
+    assert np.array_equal(np.stack(scaled.ops), ref_family)
+    assert np.array_equal(report.history, ref_history)
 
 
 @st.composite
