@@ -115,7 +115,11 @@ def state_violations(mat, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) -> L
     part, whose eigenvalues come straight from LAPACK: the same values
     ``eigvalsh`` would return, without checking the input a second time.
     Raises ``ValueError`` if ``||mat||_F`` overflows."""
-    mat = as_matrix(mat)
+    return _violations(as_matrix(mat), dim_a, dim_b, tol)
+
+
+def _violations(mat: np.ndarray, dim_a: int, dim_b: int, tol: float) -> List[Violation]:
+    """``state_violations`` of a matrix ``as_matrix`` has already converted."""
     d = dim_a * dim_b
     if mat.shape != (d, d):
         return [
@@ -153,13 +157,15 @@ def state_violations(mat, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) -> L
 def validate_state(mat, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) -> BipartiteState:
     """Check the density-matrix invariants and wrap ``mat`` as a state.
 
-    Raises the error named by the first violation; the exception's message
-    includes every finding.  Use ``state_violations`` for the structured
-    list without the raise.
+    ``mat`` is converted once (``as_matrix``), and the checks and the state
+    share that array.  Raises the error named by the first violation; the
+    exception's message includes every finding.  Use ``state_violations``
+    for the structured list without the raise.
     """
-    violations = state_violations(mat, dim_a, dim_b, tol)
+    mat = as_matrix(mat)
+    violations = _violations(mat, dim_a, dim_b, tol)
     if not violations:
-        return BipartiteState(dim_a, dim_b, as_matrix(mat))
+        return BipartiteState(dim_a, dim_b, mat)
     summary = "; ".join(v.message for v in violations)
     first = violations[0]
     if first.kind == "dimension":

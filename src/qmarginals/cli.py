@@ -3,7 +3,9 @@
 Subcommands wire the library together around JSON files:
 
 * ``verify-state``   - density-matrix validity plus the full marginal /
-  rank / PPT / extremality report for a state file.
+  rank / PPT / extremality report for a state file.  The rank comes with
+  its margin, the smallest retained and largest discarded squared singular
+  values (``linalg.rank_with_margin``).
 * ``choi`` / ``kraus`` - convert between Kraus families and composite
   states (inverse directions of the same correspondence).
 * ``extremal-check`` - both linear-independence criteria and the
@@ -71,6 +73,7 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
     numerical_rank,
+    rank_with_margin,
 )
 from .scaling import ScalingConfig, random_kraus, sinkhorn_scale
 
@@ -125,6 +128,10 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _fmt_margin(x: Optional[float]) -> str:
+    return "none" if x is None else f"{x:.2g}"
+
+
 def _fmt_matrix(mat: np.ndarray, indent: str = "  ") -> str:
     lines = []
     for row in np.atleast_2d(mat):
@@ -150,7 +157,8 @@ def _check_family_reproduces(kmap: KrausMap, state: BipartiteState, tol: float) 
 
 
 def _analyze_state(state: BipartiteState, tol: float, kmap: Optional[KrausMap]) -> dict:
-    rank = numerical_rank(state.mat, tol)
+    decision = rank_with_margin(state.mat, tol)
+    rank = decision.rank
     bound = parthasarathy_bound(state.dim_a, state.dim_b)
     freedom = perturbation_freedom_dim(state, tol)
     report = {
@@ -158,6 +166,10 @@ def _analyze_state(state: BipartiteState, tol: float, kmap: Optional[KrausMap]) 
         "marginal_b": matrix_to_json(partial_trace_a(state)),
         "eigenvalues": [float(x) for x in eigvalsh(state.mat, tol)],
         "rank": rank,
+        "rank_margin": {
+            "smallest_retained": decision.smallest_retained,
+            "largest_discarded": decision.largest_discarded,
+        },
         "rank_bound": {"bound": bound, "within_bound": rank <= bound},
         "ppt": ppt_check(state, tol).to_json(),
         "perturbation_freedom": freedom,
@@ -177,8 +189,11 @@ def _render_analysis(report: dict) -> str:
     lines.append("marginal on factor B:")
     lines.append(_fmt_matrix(mb))
     lines.append("eigenvalues: " + ", ".join(_fmt(x) for x in report["eigenvalues"]))
-    rb = report["rank_bound"]
-    lines.append(f"rank: {report['rank']} (extremality bound {rb['bound']})")
+    rb, margin = report["rank_bound"], report["rank_margin"]
+    lines.append(
+        f"rank: {report['rank']} (retained {_fmt_margin(margin['smallest_retained'])}, "
+        f"discarded {_fmt_margin(margin['largest_discarded'])}; extremality bound {rb['bound']})"
+    )
     if not rb["within_bound"]:
         lines.append("rank exceeds the bound: cannot be an extreme point of its marginal set")
     ppt = report["ppt"]

@@ -144,8 +144,10 @@ def choi_vector(op: np.ndarray) -> np.ndarray:
 
 
 def _composite_matrix(ops) -> np.ndarray:
-    """sum_l |w_l><w_l| over the Choi vectors w_l of the operators ``ops``."""
-    vectors = np.array([choi_vector(op) for op in ops])  # r x nm
+    """sum_l |w_l><w_l| over the Choi vectors w_l of ``ops``, the already
+    validated operators of a ``KrausMap``: rows of their stack, flattened
+    and conjugated, with no second conversion."""
+    vectors = np.stack(ops).reshape(len(ops), -1).conj()  # r x nm, row l = w_l
     return vectors.T @ vectors.conj()
 
 

@@ -314,9 +314,10 @@ def is_positive_int(value) -> bool:
 def matrix_from_json(obj) -> np.ndarray:
     """Parse the matrix wire format, naming the offending field on error.
 
-    Refuses non-finite entries, and matrices whose ``frobenius`` norm is
-    not finite (its sum of squares overflows above about 1.3e154): every
-    later tolerance is relative to that norm."""
+    Refuses integers too large for a double, non-finite entries, and
+    matrices whose ``frobenius`` norm is not finite (its sum of squares
+    overflows above about 1.3e154): every later tolerance is relative to
+    that norm."""
     if not isinstance(obj, dict):
         raise ValueError("matrix object: expected a JSON object")
     for field in ("rows", "cols", "entries"):
@@ -341,7 +342,10 @@ def matrix_from_json(obj) -> np.ndarray:
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
         ):
             raise ValueError(f"field 'entries[{k}]': expected an [re, im] number pair")
-        flat[k] = complex(pair[0], pair[1])
+        try:
+            flat[k] = complex(pair[0], pair[1])
+        except OverflowError:  # a JSON integer beyond the double range
+            raise ValueError(f"field 'entries[{k}]': number too large for a double") from None
     if not np.all(np.isfinite(flat.real)) or not np.all(np.isfinite(flat.imag)):
         raise ValueError("field 'entries': entries must be finite")
     with np.errstate(over="ignore"):

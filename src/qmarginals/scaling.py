@@ -19,16 +19,23 @@ factor on the support, read off one thin LAPACK SVD
 so an iteration costs its two SVDs, a few small products and the two
 residuals, and allocates no new family.  A squared singular value counts
 as support when it exceeds ``tol * max(1, sigma_max^2)``, the rule applied
-to the eigenvalues of the targets.  The report's ``contraction_rate``, the
-median ratio of successive worst residuals near the end of the history,
-says how fast a run was still closing in, and a budget-exhausted run names
-it together with the side further from its target.
+to the eigenvalues of the targets.  The singular values come in descending
+order, so the smallest decides first: when it passes, as it does for every
+stack of full support, the thin factors are used as they are, and only a
+stack short of full support has its support counted.  The report's
+``contraction_rate``, the median ratio of successive worst residuals near
+the end of the history, says how fast a run was still closing in, and a
+budget-exhausted run names it together with the side further from its
+target.
 
 Feeding converged candidates through the doubly-constrained extremality
 test is the search pipeline for new extreme points of fixed-marginals
-state sets (``find_extremal_candidate``).
+state sets (``find_extremal_candidate``).  ``uniform_targets`` builds the
+config of a shape once and returns that same frozen object afterwards, so
+a search over one shape diagonalises its targets once, not per candidate.
 """
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -222,8 +229,14 @@ def _polar_on_support(stack: np.ndarray, tol: float) -> Tuple[np.ndarray, np.nda
     ``stack`` on its support, from one thin SVD: the k leading singular
     vectors, k counting the squared singular values above
     ``tol * max(1, sigma_max^2)`` (``_support_mask``).  The singular values
-    come in descending order, so the support is a prefix."""
+    come in descending order and the rule is monotone, so the support is a
+    prefix, and it is all of them exactly when the smallest passes: that
+    case, the usual one, returns the thin factors as they are, and only a
+    stack short of full support has its prefix counted and cut."""
     u, sigmas, vh = np.linalg.svd(stack, full_matrices=False)
+    largest, smallest = float(sigmas[0]), float(sigmas[-1])
+    if smallest * smallest > tol * max(1.0, largest * largest):
+        return u, vh
     grams = sigmas * sigmas
     k = int(np.count_nonzero(_support_mask(grams, float(grams[0]), tol)))
     return u[:, :k], vh[:k]
@@ -352,6 +365,12 @@ def find_extremal_candidate(
     return scaled, verdict, state
 
 
+@functools.lru_cache(maxsize=64)
 def uniform_targets(n: int, m: int) -> ScalingConfig:
-    """Config steering toward the maximally mixed marginals 1_m/m, 1_n/n."""
+    """Config steering toward the maximally mixed marginals 1_m/m, 1_n/n.
+
+    Built once per ``(n, m)`` (the 64 most recently used shapes are kept)
+    and the same object is returned on every later call: a
+    ``ScalingConfig`` is frozen and its arrays are read-only, so sharing it
+    is safe, and a search over one shape diagonalises its targets once."""
     return ScalingConfig(np.eye(m, dtype=np.complex128) / m, np.eye(n, dtype=np.complex128) / n)

@@ -10,8 +10,9 @@ stack at once.
 The exceptions are ``np_rank``, since the package also counts singular
 values from LAPACK (rank checks that do not lean on the same routine live
 in ``test_properties.py`` and take their expected ranks from the
-construction), and ``sinkhorn_by_svd``, a frozen copy of the package's
-earlier SVD loop that the current one must match bit for bit.
+construction), and ``sinkhorn_by_svd`` with its ``polar_by_mask``, a
+frozen copy of the package's earlier SVD loop that the current one must
+match bit for bit.
 """
 
 import numpy as np
@@ -164,6 +165,16 @@ def sinkhorn_by_eigh(ops, target_k, target_l, max_iter, residual_tol=1e-10, tol=
     return "converged", iterations, ops
 
 
+def polar_by_mask(stack, tol):
+    """Factors U_k, V_k^dagger of a stack's polar factor on its support, k
+    counted by masking every squared singular value against
+    ``tol * max(1, sigma_max^2)`` and the thin SVD cut to that prefix."""
+    u, sigmas, vh = np.linalg.svd(stack, full_matrices=False)
+    grams = sigmas * sigmas
+    k = int(np.count_nonzero(grams > tol * max(1.0, float(grams[0]))))
+    return u[:, :k], vh[:k]
+
+
 def sinkhorn_by_svd(ops, config, tol=1e-8):
     """The SVD half-step Sinkhorn loop as it stood before its half-steps
     wrote into one buffer, kept as a reference for that rewrite: each
@@ -185,12 +196,6 @@ def sinkhorn_by_svd(ops, config, tol=1e-8):
     def support_rank(values, largest):
         return int(np.count_nonzero(values > tol * max(1.0, largest)))
 
-    def polar(stack):
-        u, sigmas, vh = np.linalg.svd(stack, full_matrices=False)
-        grams = sigmas * sigmas
-        k = support_rank(grams, float(grams[0]))
-        return u[:, :k], vh[:k]
-
     def residuals(family):
         cols = family.reshape(n * r, m)
         rows = family.reshape(n, r * m)
@@ -204,12 +209,12 @@ def sinkhorn_by_svd(ops, config, tol=1e-8):
     history = [residuals(family)]
     iterations = 0
     while max(history[-1]) > config.residual_tol and iterations < config.max_iter:
-        u, vh = polar(family.reshape(n * r, m))
+        u, vh = polar_by_mask(family.reshape(n * r, m), tol)
         if len(vh) < rank_k:
             message = f"sum V^dagger V has rank {len(vh)}, below the target rank {rank_k}"
             return "singular", iterations, message, None, None
         family = (u @ (vh @ sqrt_k)).reshape(n, r, m)
-        u, vh = polar(family.reshape(n, r * m))
+        u, vh = polar_by_mask(family.reshape(n, r * m), tol)
         if len(vh) < rank_l:
             message = f"sum V V^dagger has rank {len(vh)}, below the target rank {rank_l}"
             return "singular", iterations, message, None, None

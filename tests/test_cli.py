@@ -4,9 +4,13 @@ import os
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qmarginals
 from qmarginals import (
@@ -75,6 +79,41 @@ def test_verify_state_example(example_state_file, capsys):
     assert report["perturbation_freedom"] == 0
     marginal = np.array(report["marginal_a"]["entries"]).reshape(2, 2, 2)
     assert np.allclose(marginal[..., 0], np.eye(2) / 2, atol=1e-12)
+
+
+def test_verify_state_shows_rank_margin(example_state_file, capsys):
+    assert main(["verify-state", example_state_file, "--json"]) == 0
+    margin = json.loads(capsys.readouterr().out)["rank_margin"]
+    # Gram scale: squared singular values, the eigenvalues being 1/2, 1/2, 0, ...
+    assert abs(margin["smallest_retained"] - 0.25) <= 1e-12
+    assert 0.0 <= margin["largest_discarded"] <= 1e-28
+    assert main(["verify-state", example_state_file]) == 0
+    text = capsys.readouterr().out
+    assert (
+        f"rank: 2 (retained {margin['smallest_retained']:.2g}, "
+        f"discarded {margin['largest_discarded']:.2g}; extremality bound 3)"
+    ) in text
+
+
+@pytest.mark.parametrize("factor, rank", [(0.5, 2), (2.0, 3)])
+def test_verify_state_rank_margin_brackets_the_cutoff(tmp_path, capsys, factor, rank):
+    # one eigenvalue at factor x the cutoff tol * lambda_max = 6e-9
+    small = factor * 1e-8 * 0.6
+    state = validate_state(np.diag([0.6, 0.4 - small, small, 0.0, 0.0, 0.0]), 2, 3)
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(state_to_json(state)))
+    assert main(["verify-state", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    margin = report["rank_margin"]
+    assert report["rank"] == rank
+    if rank == 2:
+        assert margin["largest_discarded"] == pytest.approx(small**2, rel=1e-9)
+        assert margin["smallest_retained"] == pytest.approx((0.4 - small) ** 2, rel=1e-9)
+    else:
+        assert margin["smallest_retained"] == pytest.approx(small**2, rel=1e-9)
+        assert margin["largest_discarded"] == 0.0
+    assert main(["verify-state", str(path)]) == 0
+    assert f"rank: {rank} (retained " in capsys.readouterr().out
 
 
 def test_verify_state_with_kraus_section(example_state_file, example_kraus_file, capsys):
@@ -525,6 +564,95 @@ def test_sinkhorn_rejects_non_psd_target(tmp_path, capsys):
     argv = ["sinkhorn", "--n", "2", "--m", "3", "--r", "2", "--target-l", str(target_l)]
     assert main(argv) == 1
     assert "target_L has eigenvalue" in capsys.readouterr().err
+
+
+HUGE_INTEGERS = st.sampled_from([2**53 + 1, 10**20, 10**150, 10**200, 10**308, 10**309, 10**400]).flatmap(
+    lambda x: st.sampled_from([x, -x])
+)
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | HUGE_INTEGERS
+    | st.floats()
+    | st.text(max_size=6),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+SINKHORN = ["sinkhorn", "--n", "2", "--m", "3", "--r", "2", "--max-iter", "50"]
+# each command reading one JSON document from stdin, with a valid document for it
+FUZZED_COMMANDS = [
+    (["verify-state", "--json", "-"], _state_doc),
+    (["kraus", "-"], _state_doc),
+    (["choi", "-"], lambda: kraus_to_json(extremal_qubit_qutrit_map())),
+    (["extremal-check", "--json", "-"], lambda: kraus_to_json(extremal_qubit_qutrit_map())),
+    (SINKHORN + ["--target-k", "-"], lambda: matrix_to_json(np.eye(3) / 3)),
+    (SINKHORN + ["--target-l", "-"], lambda: matrix_to_json(np.eye(2) / 2)),
+]
+
+
+def _json_paths(doc, prefix=()):
+    """Every key path into ``doc`` below its root."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+@st.composite
+def _damaged(draw, doc):
+    """``doc`` with one field dropped, retyped, made overlong or replaced by
+    a huge integer."""
+    path = draw(st.sampled_from(list(_json_paths(doc))))
+    holder = doc
+    for key in path[:-1]:
+        holder = holder[key]
+    key = path[-1]
+    how = draw(st.sampled_from(["drop", "retype", "overlong", "huge"]))
+    if how == "drop":
+        del holder[key]
+    elif how == "retype":
+        holder[key] = draw(JSON_VALUES)
+    elif how == "overlong":
+        value = holder[key]
+        holder[key] = value + value if isinstance(value, list) else [value, value]
+    else:
+        holder[key] = draw(HUGE_INTEGERS)
+    return doc
+
+
+@st.composite
+def _fuzz_cases(draw):
+    argv, valid = draw(st.sampled_from(FUZZED_COMMANDS))
+    return argv, draw(st.one_of(JSON_VALUES, _damaged(valid()), st.just(valid())))
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(case=_fuzz_cases())
+@example(
+    case=(
+        ["verify-state", "--json", "-"],
+        {"dim_a": 1, "dim_b": 1, "matrix": {"rows": 1, "cols": 1, "entries": [[10**400, 0]]}},
+    )
+)
+def test_fuzzed_json_exits_0_1_or_2_with_one_line_errors(case):
+    argv, doc = case
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(doc))):
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 from oracles import choi_by_definition, np_rank, random_psd
 
 from qmarginals import (
+    BipartiteState,
     DimensionMismatch,
     KrausMap,
     TraceNotOne,
@@ -26,6 +27,7 @@ from qmarginals import (
     sampling,
     validate_state,
 )
+from qmarginals.linalg import as_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +107,40 @@ def test_choi_state_matches_definition_oracle():
         state = choi_state(kmap)
         oracle = choi_by_definition(kmap.ops, 2, 3)
         assert np.abs(state.mat - oracle).max() < 1e-14
+
+
+def test_choi_state_converts_its_matrix_once(monkeypatch):
+    # KrausMap validated the operators; validate_state converts the composite
+    # matrix once and BipartiteState checks that array once more
+    from qmarginals import bipartite, cpmaps, linalg
+
+    kmap = random_kraus(2, 3, 2, 0)
+    expected = choi_state(kmap).mat
+    calls = []
+
+    def counting(value):
+        calls.append(1)
+        return as_matrix(value)
+
+    for module in (linalg, bipartite, cpmaps):
+        monkeypatch.setattr(module, "as_matrix", counting)
+    assert np.array_equal(choi_state(kmap).mat, expected)
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize(
+    "mat, error",
+    [
+        (np.full((6, 6), np.nan), ValueError),
+        (np.full((6, 6), 1j * np.inf), ValueError),
+        (np.zeros((6, 5)), DimensionMismatch),
+        (np.zeros(36), DimensionMismatch),
+    ],
+    ids=["nan", "inf", "shape", "1-d"],
+)
+def test_direct_state_construction_still_checks_its_input(mat, error):
+    with pytest.raises(error):
+        BipartiteState(2, 3, mat)
 
 
 def test_choi_state_example_entries(example_map, example_matrix):

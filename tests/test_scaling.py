@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import _np_root_and_inv_root, sinkhorn_by_eigh, sinkhorn_by_svd
+from oracles import _np_root_and_inv_root, polar_by_mask, sinkhorn_by_eigh, sinkhorn_by_svd
 
 from qmarginals import (
     InfeasibleRank,
@@ -409,6 +411,58 @@ def test_support_cutoff_is_on_squared_singular_values(column_scale, singular):
 
 SCALING_SETTINGS = settings(deadline=None, derandomize=True, max_examples=40)
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+# powers of two keep the cutoff tol * max(1, sigma_max^2) and its square
+# root exact, so a diagonal stack can put sigma_min^2 on the cutoff itself
+CUTOFF_TOL = 2.0**-28
+
+
+@SCALING_SETTINGS
+@given(
+    shape=st.sampled_from([(4, 3), (3, 9), (9, 3), (2, 6), (6, 2), (16, 4), (4, 16), (2, 2)]),
+    largest=st.sampled_from([0.5, 1.0, 4.0]),
+    factor=st.sampled_from([0.5, 1.0, 2.0]),
+    rotated=st.booleans(),
+    seed=SEEDS,
+)
+def test_polar_support_matches_the_mask_rule_at_the_cutoff(shape, largest, factor, rotated, seed):
+    rows, cols = shape
+    p = min(shape)
+    rng = np.random.default_rng(seed)
+    smallest = np.sqrt(factor * CUTOFF_TOL * max(1.0, largest * largest))
+    middle = np.sort(rng.uniform(largest / 8, largest, size=p - 2))[::-1]
+    sigmas = np.concatenate([[largest], middle, [smallest]])
+    stack = np.zeros(shape, dtype=complex)
+    stack[range(p), range(p)] = sigmas
+    if rotated:
+        left = sampling.random_unitary(rng, rows)
+        right = sampling.random_unitary(rng, cols)
+        stack = left @ stack @ right
+    u, vh = scaling._polar_on_support(stack, CUTOFF_TOL)
+    ref_u, ref_vh = polar_by_mask(stack, CUTOFF_TOL)
+    assert u.shape == ref_u.shape and vh.shape == ref_vh.shape
+    assert np.array_equal(u, ref_u) and np.array_equal(vh, ref_vh)
+    # on the cutoff itself only the exact diagonal stack decides; the mask
+    # rule is strict, so a value equal to the cutoff is not support
+    if factor != 1.0 or not rotated:
+        assert len(vh) == (p if factor > 1.0 else p - 1)
+
+
+def test_uniform_targets_are_built_once_per_shape():
+    config = uniform_targets(3, 4)
+    assert uniform_targets(3, 4) is config
+    assert uniform_targets(4, 3) is not config
+    fresh = ScalingConfig(np.eye(4) / 4, np.eye(3) / 3)
+    for name in ("target_K", "target_L", "_spectrum_K", "_root_K", "_spectrum_L", "_root_L"):
+        value = getattr(config, name)
+        assert not value.flags.writeable
+        assert np.array_equal(value, getattr(fresh, name))
+    assert (config.max_iter, config.residual_tol) == (fresh.max_iter, fresh.residual_tol)
+    with pytest.raises(ValueError):
+        config.target_K[0, 0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.max_iter = 1
 
 
 @SCALING_SETTINGS
