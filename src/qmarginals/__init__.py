@@ -73,10 +73,7 @@ from .linalg import (
     kron,
     matrix_from_json,
     matrix_to_json,
-    matrix_unit,
     numerical_rank,
-    psd_inv_sqrt,
-    psd_sqrt,
     rank_with_margin,
 )
 from .scaling import (
@@ -100,10 +97,7 @@ __all__ = [
     "kron",
     "matrix_from_json",
     "matrix_to_json",
-    "matrix_unit",
     "numerical_rank",
-    "psd_inv_sqrt",
-    "psd_sqrt",
     "rank_with_margin",
     # bipartite
     "BipartiteState",

@@ -54,17 +54,7 @@ from .cpmaps import (
     marginal_K,
     marginal_L,
 )
-from .errors import (
-    DimensionMismatch,
-    InfeasibleRank,
-    NoConvergence,
-    NotHermitian,
-    NotPSD,
-    NotUnitary,
-    QMarginalsError,
-    SingularScaling,
-    TraceNotOne,
-)
+from .errors import DimensionMismatch, NoConvergence, QMarginalsError
 from .linalg import (
     DEFAULT_TOL,
     eigvalsh,
@@ -564,18 +554,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        NotHermitian,
-        NotPSD,
-        NotUnitary,
-        TraceNotOne,
-        NoConvergence,
-        SingularScaling,
-        InfeasibleRank,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except QMarginalsError as exc:  # any future subclass: treat as semantic
+    except QMarginalsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

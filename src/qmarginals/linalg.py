@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotPSD
+from .errors import DimensionMismatch, NoConvergence, NotHermitian
 
 #: Relative rank / positivity tolerance used when the caller does not pass one.
 DEFAULT_TOL = 1e-8
@@ -58,15 +58,6 @@ def frobenius(mat: np.ndarray) -> float:
     flat = np.asarray(mat, dtype=np.complex128).ravel(order="K")
     re, im = flat.real, flat.imag
     return math.sqrt(re.dot(re) + im.dot(im))
-
-
-def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
-    """The n x n matrix with a single 1 at row ``i``, column ``j`` (0-based)."""
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"matrix unit position ({i}, {j}) out of range for n={n}")
-    out = np.zeros((n, n), dtype=np.complex128)
-    out[i, j] = 1.0
-    return out
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -250,48 +241,18 @@ def rank_with_margin(mat: np.ndarray, tol: float = DEFAULT_TOL) -> RankDecision:
         return RankDecision(0, None, 0.0)
     kept = sigmas[sigmas > tol * sigma_max]
     dropped = sigmas[sigmas <= tol * sigma_max]
+    # Squared as Python floats, so that past about 1.3e154 a margin is inf
+    # without numpy's overflow warning.
     return RankDecision(
         int(kept.size),
-        float(kept[0] ** 2) if kept.size else None,
-        float(dropped[-1] ** 2) if dropped.size else None,
+        float(kept[0]) * float(kept[0]) if kept.size else None,
+        float(dropped[-1]) * float(dropped[-1]) if dropped.size else None,
     )
 
 
 def numerical_rank(mat: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     """Numerical rank: singular values above ``tol`` relative to the largest."""
     return rank_with_margin(mat, tol).rank
-
-
-def _psd_eigen(h: np.ndarray, tol: float) -> HermitianEigen:
-    """Eigendecomposition with negatives clamped to zero; rejects matrices
-    that are negative beyond ``tol * max(1, ||h||_F)``."""
-    decomp = eigh(h, tol)
-    scale = max(1.0, frobenius(as_matrix(h)))
-    lam_min = float(decomp.eigenvalues[0])
-    if lam_min < -tol * scale:
-        raise NotPSD(
-            f"matrix has eigenvalue {lam_min:.3e} below -{tol * scale:.3e}",
-            min_eigenvalue=lam_min,
-        )
-    return HermitianEigen(np.clip(decomp.eigenvalues, 0.0, None), decomp.eigenvectors)
-
-
-def psd_sqrt(h: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Principal square root of a positive semidefinite matrix."""
-    values, vectors = _psd_eigen(h, tol)
-    return (vectors * np.sqrt(values)) @ dagger(vectors)
-
-
-def psd_inv_sqrt(h: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Inverse square root on the support of a PSD matrix, pseudo-inverse on
-    the kernel.  Eigenvalues at or below ``tol * max(1, lambda_max)`` count
-    as kernel."""
-    values, vectors = _psd_eigen(h, tol)
-    lam_max = float(values[-1])
-    support = values > tol * max(1.0, lam_max)
-    inv_roots = np.zeros_like(values)
-    inv_roots[support] = 1.0 / np.sqrt(values[support])
-    return (vectors * inv_roots) @ dagger(vectors)
 
 
 def matrix_to_json(mat: np.ndarray) -> dict:

@@ -551,6 +551,28 @@ def test_matrix_with_overflowing_norm_is_refused(tmp_path, capsys, command):
     _assert_one_line_error(capsys)
 
 
+def test_entry_past_the_frobenius_limit_is_refused_naming_entries(tmp_path, capsys):
+    # the wire format does not rescale the sum of squares: 1e300 squared overflows
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"rows": 1, "cols": 1, "entries": [[1e300, 0]]}))
+    assert main(["verify-state", "--dims", "1,1", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "'entries'" in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_extremal_check_huge_entry_fails_with_one_line(tmp_path, capsys):
+    # a finite norm, but the rank tests square singular values past the double range
+    op = {"rows": 2, "cols": 3, "entries": [[1e80, 0]] + [[0.0, 0.0]] * 5}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 2, "m": 3, "ops": [op]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["extremal-check", str(path)]) == 1
+    assert caught == []
+    _assert_one_line_error(capsys)
+
+
 def test_tol_accepts_small_positive_values(capsys):
     assert main(["demo", "--tol", "1e-9"]) == 0
     assert "all checks passed" in capsys.readouterr().out
@@ -697,6 +719,12 @@ def test_import_leaves_numpy_random_unloaded(capsys):
     import numpy.random  # noqa: F401
     assert main(argv) == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+def test_export_table_names_each_attribute_once():
+    names = qmarginals.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(qmarginals, name)] == []
 
 
 # ---------------------------------------------------------------------------

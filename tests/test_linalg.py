@@ -9,43 +9,19 @@ from oracles import np_rank, random_hermitian, random_psd
 from qmarginals import (
     NoConvergence,
     NotHermitian,
-    NotPSD,
     choi_state,
     eigh,
     eigvalsh,
     kron,
     matrix_from_json,
     matrix_to_json,
-    matrix_unit,
     numerical_rank,
     partial_transpose_b,
-    psd_inv_sqrt,
-    psd_sqrt,
     random_kraus,
     rank_with_margin,
 )
 from qmarginals import DimensionMismatch
 from qmarginals.linalg import as_matrix, frobenius
-
-
-def test_matrix_unit_basic():
-    assert np.array_equal(matrix_unit(2, 0, 0), np.diag([1.0, 0.0]))
-    assert np.array_equal(matrix_unit(2, 0, 1), np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_matrix_unit_trace_is_kronecker_delta():
-    for n in (2, 3, 5):
-        for i in range(n):
-            for j in range(n):
-                expected = 1.0 if i == j else 0.0
-                assert np.trace(matrix_unit(n, i, j)) == expected
-
-
-def test_matrix_unit_out_of_range():
-    with pytest.raises(IndexError):
-        matrix_unit(2, 2, 0)
-    with pytest.raises(IndexError):
-        matrix_unit(3, 0, -1)
 
 
 def test_kron_identities():
@@ -54,7 +30,7 @@ def test_kron_identities():
 
 def test_kron_block_placement():
     c = np.arange(9).reshape(3, 3).astype(complex)
-    out = kron(matrix_unit(2, 0, 1), c)
+    out = kron(np.array([[0, 1], [0, 0]]), c)
     assert np.array_equal(out[:3, 3:], c)
     out[:3, 3:] = 0
     assert not out.any()
@@ -284,39 +260,13 @@ def test_rank_margin_brackets_cutoff():
     assert decision.largest_discarded == pytest.approx(1e-24, rel=1e-6)
 
 
-def test_psd_sqrt_basics():
-    assert np.allclose(psd_sqrt(np.eye(3)), np.eye(3), atol=1e-12)
-    assert np.allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-12)
-
-
-@pytest.mark.parametrize("dim", [2, 3, 6])
-def test_psd_sqrt_squares_back(dim):
-    rng = np.random.default_rng(dim + 40)
-    h = random_psd(rng, dim)
-    root = psd_sqrt(h)
-    assert np.linalg.norm(root @ root - h) <= 1e-8 * max(1.0, np.linalg.norm(h))
-
-
-def test_psd_sqrt_rejects_negative():
-    with pytest.raises(NotPSD):
-        psd_sqrt(np.diag([1.0, -0.5]))
-
-
-def test_psd_inv_sqrt_support_projector():
-    rng = np.random.default_rng(9)
-    h = random_psd(rng, 5, rank=3)
-    inv_root = psd_inv_sqrt(h)
-    projector = inv_root @ h @ inv_root
-    # compare against the numpy-built projector onto the support
-    w, u = np.linalg.eigh(h)
-    keep = w > 1e-8 * w.max()
-    expected = u[:, keep] @ u[:, keep].conj().T
-    assert np.linalg.norm(projector - expected) <= 1e-8
-
-
-def test_psd_inv_sqrt_inverts_on_support():
-    h = np.diag([4.0, 9.0, 0.0]).astype(complex)
-    assert np.allclose(psd_inv_sqrt(h), np.diag([0.5, 1 / 3, 0.0]), atol=1e-12)
+def test_rank_margin_overflows_to_inf_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        decision = rank_with_margin(np.diag([1e200, 1.0]))
+    assert decision.rank == 1
+    assert decision.smallest_retained == np.inf
+    assert decision.largest_discarded == 1.0
 
 
 def test_matrix_json_round_trip():

@@ -24,8 +24,6 @@ from qmarginals import (
     partial_trace_a,
     partial_trace_b,
     perturbation_freedom_dim,
-    psd_inv_sqrt,
-    psd_sqrt,
     random_kraus,
     residuals,
     sampling,
@@ -147,7 +145,9 @@ def test_right_half_step_enforces_K_exactly():
     kmap = random_kraus(2, 3, 2, 31)
     target_k = UNIFORM_23.target_K
     sum_k = sum(op.conj().T @ op for op in kmap.ops)
-    right = psd_inv_sqrt(sum_k) @ psd_sqrt(target_k)
+    _, inv_root_k, _ = _np_root_and_inv_root(sum_k, 1e-8)
+    root_target, _, _ = _np_root_and_inv_root(target_k, 1e-8)
+    right = inv_root_k @ root_target
     scaled_ops = [op @ right for op in kmap.ops]
     new_sum = sum(op.conj().T @ op for op in scaled_ops)
     assert np.linalg.norm(new_sum - target_k) <= 1e-12
@@ -157,7 +157,9 @@ def test_left_half_step_enforces_L_exactly():
     kmap = random_kraus(2, 3, 2, 32)
     target_l = UNIFORM_23.target_L
     sum_l = sum(op @ op.conj().T for op in kmap.ops)
-    left = psd_sqrt(target_l) @ psd_inv_sqrt(sum_l)
+    root_target, _, _ = _np_root_and_inv_root(target_l, 1e-8)
+    _, inv_root_l, _ = _np_root_and_inv_root(sum_l, 1e-8)
+    left = root_target @ inv_root_l
     scaled_ops = [left @ op for op in kmap.ops]
     new_sum = sum(op @ op.conj().T for op in scaled_ops)
     assert np.linalg.norm(new_sum - target_l) <= 1e-12
