@@ -16,7 +16,8 @@ Subcommands wire the library together around JSON files:
   verify every claimed property of it.
 
 Exit codes are uniform: 0 success/pass, 1 semantic failure (invalid state,
-not extreme, no convergence), 2 input or usage error.  "-" stands for
+not extreme, no convergence), 2 input or usage error, a request too large
+for memory included.  "-" stands for
 stdin/stdout.  Reports are deterministic functions of the inputs and flags;
 JSON mode prints doubles round-trip exactly, text mode rounds to 6
 significant digits.
@@ -553,6 +554,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation refused'}", file=sys.stderr)
         return EXIT_USAGE
     except QMarginalsError as exc:
         print(f"error: {exc}", file=sys.stderr)

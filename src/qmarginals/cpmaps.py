@@ -22,7 +22,6 @@ properties.
 """
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -37,28 +36,33 @@ CRITERION_LANDAU_STREATER = "landau_streater"
 
 @dataclass(frozen=True)
 class KrausMap:
-    """Finite Kraus family {V_l} of n x m matrices, r >= 1."""
+    """Finite Kraus family {V_l} of n x m matrices, r >= 1.
+
+    Built from any sequence of matrices, an ``(r, n, m)`` array included,
+    and held as one read-only, C-contiguous complex128 ``(r, n, m)`` array
+    ``ops``: ``ops[l]`` is V_l, and iterating over ``ops`` or taking its
+    ``len`` gives the operators.  The operators are copied in, so a later
+    write to the input leaves the family as it was."""
 
     n: int
     m: int
-    ops: Tuple[np.ndarray, ...]
+    ops: np.ndarray
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise DimensionMismatch("factor dimensions must be positive")
         if len(self.ops) < 1:
             raise DimensionMismatch("a Kraus family needs at least one operator")
-        frozen = []
+        family = np.empty((len(self.ops), self.n, self.m), dtype=np.complex128)
         for k, op in enumerate(self.ops):
             op = as_matrix(op)
             if op.shape != (self.n, self.m):
                 raise DimensionMismatch(
                     f"operator {k} is {op.shape}, expected ({self.n}, {self.m})"
                 )
-            op = op.copy()
-            op.setflags(write=False)
-            frozen.append(op)
-        object.__setattr__(self, "ops", tuple(frozen))
+            family[k] = op
+        family.setflags(write=False)
+        object.__setattr__(self, "ops", family)
 
     @property
     def r(self) -> int:
@@ -143,11 +147,11 @@ def choi_vector(op: np.ndarray) -> np.ndarray:
     return np.conj(as_matrix(op)).ravel()
 
 
-def _composite_matrix(ops) -> np.ndarray:
+def _composite_matrix(ops: np.ndarray) -> np.ndarray:
     """sum_l |w_l><w_l| over the Choi vectors w_l of ``ops``, the already
-    validated operators of a ``KrausMap``: rows of their stack, flattened
-    and conjugated, with no second conversion."""
-    vectors = np.stack(ops).reshape(len(ops), -1).conj()  # r x nm, row l = w_l
+    validated ``(r, n, m)`` array of a ``KrausMap``: its operators
+    flattened and conjugated, with no second conversion."""
+    vectors = ops.reshape(len(ops), -1).conj()  # r x nm, row l = w_l
     return vectors.T @ vectors.conj()
 
 
@@ -178,12 +182,12 @@ def _independence_report(
     ``both_sums``.  The family is independent exactly when the stacked rows
     have full rank r^2.
 
-    Each block is one broadcast ``matmul`` over the ``(r, n, m)`` stack of
-    the operators, which forms every pair's product exactly as a separate
+    Each block is one broadcast ``matmul`` over the family's ``(r, n, m)``
+    array, which forms every pair's product exactly as a separate
     ``V_i^dagger @ V_j`` would, so rows and margins are bit-identical to the
     pairwise construction."""
     r = kmap.r
-    ops = np.stack(kmap.ops)  # r x n x m
+    ops = kmap.ops
     adj = ops.conj().transpose(0, 2, 1)  # the V_l^dagger
     blocks = [np.matmul(adj[:, None], ops[None])]  # [i, j] = V_i^dagger V_j
     if both_sums:
@@ -231,7 +235,7 @@ def kraus_from_state(state: BipartiteState, tol: float = DEFAULT_TOL) -> KrausMa
         if abs(anchor) > 0.0:
             op = op * (abs(anchor) / anchor)
         ops.append(op)
-    return KrausMap(state.dim_a, state.dim_b, tuple(ops))
+    return KrausMap(state.dim_a, state.dim_b, ops)
 
 
 def extremal_qubit_qutrit_map() -> KrausMap:
@@ -251,9 +255,7 @@ def mix_ops(kmap: KrausMap, unitary) -> KrausMap:
     u = as_matrix(unitary)
     if u.shape != (kmap.r, kmap.r):
         raise DimensionMismatch(f"mixing matrix is {u.shape}, expected ({kmap.r}, {kmap.r})")
-    stacked = np.stack(kmap.ops)  # r x n x m
-    mixed = np.einsum("lk,kij->lij", u, stacked)
-    return KrausMap(kmap.n, kmap.m, tuple(mixed))
+    return KrausMap(kmap.n, kmap.m, np.einsum("lk,kij->lij", u, kmap.ops))
 
 
 def kraus_to_json(kmap: KrausMap) -> dict:
@@ -280,5 +282,4 @@ def kraus_from_json(obj) -> KrausMap:
     ops_json = obj["ops"]
     if not isinstance(ops_json, list) or not ops_json:
         raise ValueError("field 'ops': expected a nonempty list of matrices")
-    ops = [linalg.matrix_from_json(item) for item in ops_json]
-    return KrausMap(n, m, tuple(ops))
+    return KrausMap(n, m, [linalg.matrix_from_json(item) for item in ops_json])

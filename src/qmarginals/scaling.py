@@ -3,14 +3,21 @@ marginal sums.
 
 Each right half-step congruence-scales the family so that
 sum V^dagger V hits the target K exactly; each left half-step does the same
-for sum V V^dagger and L, disturbing the first sum a little.  Alternating
-the two empirically contracts both residuals at the desk scales used here;
-there is no convergence theorem behind it, so budget exhaustion raises
-``NoConvergence`` with the full residual history attached rather than
-returning a silently truncated family.
+for sum V V^dagger and L, disturbing the first sum a little.
+
+What is proven, and what is not.  For uniform targets and n = m, the
+iteration converges exactly when the map is rank non-decreasing (Gurvits,
+J. Comput. Syst. Sci. 69, 2004); Garg, Gurvits, Oliveira and Wigderson
+(arXiv:1511.03730) bound the number of iterations to a given residual.
+Which non-uniform targets can be reached at all is characterised by Franks
+(arXiv:1801.01412).  No check here decides either condition up front, and
+no bound here predicts an iteration count: the budget is a plain cap, and
+its exhaustion raises ``NoConvergence`` with the full residual history
+attached rather than returning a silently truncated family.
 
 The iteration holds the family in one C-contiguous complex ``(n, r, m)``
-buffer F, with F[i, l] row i of operator V_l, and never forms a sum.  Both
+buffer F, with F[i, l] row i of operator V_l, copied once from the
+``KrausMap``'s ``(r, n, m)`` array, and never forms a sum.  Both
 stacks are views of it, made once: the nr x m column stack A has
 A^dagger A = sum V^dagger V, and the n x rm row stack B has
 B B^dagger = sum V V^dagger.  Each half-step writes the stack's polar
@@ -120,8 +127,8 @@ class ScalingReport:
     operator sums from their targets.  ``history`` is a read-only
     ``(iterations + 1, 2)`` float64 array of ``(residual_K, residual_L)``
     rows: row 0 is the state of the input family; one row follows per
-    completed iteration.  A read-only float64 array of that shape is adopted
-    as it is; any other sequence of pairs is copied into one.
+    completed iteration.  It is always an owned copy of the pairs or array
+    given, so no caller's buffer is shared.
 
     ``contraction_rate`` is read off ``history`` when asked for, never
     during the iteration."""
@@ -133,18 +140,9 @@ class ScalingReport:
     history: np.ndarray = ()
 
     def __post_init__(self):
-        history = self.history
-        adoptable = (
-            isinstance(history, np.ndarray)
-            and history.dtype == np.float64
-            and history.ndim == 2
-            and history.shape[1] == 2
-            and not history.flags.writeable
-        )
-        if not adoptable:
-            history = np.array(history, dtype=np.float64).reshape(-1, 2)
-            history.setflags(write=False)
-            object.__setattr__(self, "history", history)
+        history = np.array(np.reshape(self.history, (-1, 2)), dtype=np.float64)
+        history.setflags(write=False)
+        object.__setattr__(self, "history", history)
 
     @property
     def contraction_rate(self) -> Optional[float]:
@@ -185,7 +183,7 @@ def random_kraus(n: int, m: int, r: int, seed: int) -> KrausMap:
     ops = [sampling.ginibre(rng, n, m) for _ in range(r)]
     total = sum(float(np.vdot(op, op).real) for op in ops)
     scale = 1.0 / np.sqrt(total)
-    return KrausMap(n, m, tuple(op * scale for op in ops))
+    return KrausMap(n, m, [op * scale for op in ops])
 
 
 def _residuals(cols: np.ndarray, rows: np.ndarray, target_K, target_L) -> Tuple[float, float]:
@@ -211,7 +209,7 @@ def residuals(kmap: KrausMap, target_K, target_L) -> Tuple[float, float]:
         raise DimensionMismatch(
             f"target_L is {target_L.shape}, expected ({kmap.n}, {kmap.n})"
         )
-    family = np.stack(kmap.ops, axis=1)
+    family = np.ascontiguousarray(kmap.ops.transpose(1, 0, 2))  # (n, r, m)
     n, r, m = family.shape
     return _residuals(family.reshape(n * r, m), family.reshape(n, r * m), target_K, target_L)
 
@@ -255,10 +253,10 @@ def sinkhorn_scale(
     support ranks are counted at ``tol``, come from ``config``: scaling
     diagonalises nothing.
 
-    The family lives in one C-contiguous ``(n, r, m)`` buffer, stacked from
-    the operators on entry and transposed once into the returned
-    ``KrausMap``.  Its nr x m column stack A and n x rm row stack B are two
-    views of that buffer, made once.  With U_k, V_k^dagger the support part
+    The family lives in one C-contiguous ``(n, r, m)`` buffer, copied from
+    the ``KrausMap``'s ``(r, n, m)`` array on entry and transposed once into
+    the returned ``KrausMap``.  Its nr x m column stack A and n x rm row
+    stack B are two views of that buffer, made once.  With U_k, V_k^dagger the support part
     of a thin SVD of a stack, the right step writes
     A <- U_k V_k^dagger K^(1/2) = A (A^dagger A)^(-1/2) K^(1/2) and the left
     step B <- L^(1/2) U_k V_k^dagger = L^(1/2) (B B^dagger)^(-1/2) B straight
@@ -268,10 +266,9 @@ def sinkhorn_scale(
     product is ``ndarray.dot``, the same BLAS call as ``@`` and bit-identical
     to it, with less call overhead.  Support is decided on the squared
     singular values (``_polar_on_support``), by
-    ``sigma^2 > tol * max(1, sigma_max^2)``.  The residual history is
-    written into a float64 array that doubles when full, so a large
-    ``max_iter`` costs nothing up front, and is trimmed once into the
-    report's read-only ``history``.
+    ``sigma^2 > tol * max(1, sigma_max^2)``.  The residual pairs are
+    appended to a list, so a large ``max_iter`` costs nothing up front, and
+    copied once into the report's read-only ``history``.
 
     Raises ``SingularScaling`` as soon as an intermediate sum has smaller
     support than its target (the scaling can then never reach it), and
@@ -291,12 +288,11 @@ def sinkhorn_scale(
     rank_k = int(np.count_nonzero(_support_mask(spectrum_k, float(spectrum_k[-1]), tol)))
     rank_l = int(np.count_nonzero(_support_mask(spectrum_l, float(spectrum_l[-1]), tol)))
 
-    family = np.stack(kmap.ops, axis=1)
+    family = kmap.ops.transpose(1, 0, 2).copy()  # C-contiguous (n, r, m)
     cols = family.reshape(n * r, m)  # views: every write lands in family
     rows = family.reshape(n, r * m)
     res_k, res_l = _residuals(cols, rows, target_K, target_L)
-    history = np.empty((64, 2))
-    history[0] = res_k, res_l
+    history = [(res_k, res_l)]
 
     iterations = 0
     while max(res_k, res_l) > config.residual_tol and iterations < config.max_iter:
@@ -316,16 +312,14 @@ def sinkhorn_scale(
 
         iterations += 1
         res_k, res_l = _residuals(cols, rows, target_K, target_L)
-        if iterations == len(history):
-            history = np.concatenate([history, np.empty_like(history)])
-        history[iterations] = res_k, res_l
+        history.append((res_k, res_l))
 
-    # trim once; the report adopts this array, so no other copy stays alive
-    history = history[: iterations + 1].copy()
-    history.setflags(write=False)
     converged = max(res_k, res_l) <= config.residual_tol
     report = ScalingReport(iterations, res_k, res_l, converged, history)
-    scaled = KrausMap(n, m, tuple(family.transpose(1, 0, 2)))
+    # a NoConvergence traceback keeps this frame alive: keep only the
+    # report's compact copy of the history, not the list of pairs
+    del history
+    scaled = KrausMap(n, m, family.transpose(1, 0, 2))
     if not converged:
         side = "sum V^dagger V" if res_k >= res_l else "sum V V^dagger"
         rate = report.contraction_rate

@@ -413,6 +413,21 @@ def test_sinkhorn_rejects_negative_history(capsys):
     _assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 149. GiB for an array", ""])
+def test_out_of_memory_is_one_line_usage_error(monkeypatch, capsys, message):
+    # raised by a stand-in: a real oversized request may be granted by an
+    # overcommitting host and then filled
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("qmarginals.cli.ScalingConfig", refuse)
+    assert main(["sinkhorn", "--n", "2", "--m", "3", "--r", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    (line,) = captured.err.strip().splitlines()
+    assert line == f"error: out of memory: {message or 'allocation refused'}"
+
+
 def test_sinkhorn_custom_targets(tmp_path):
     from qmarginals import matrix_to_json
 

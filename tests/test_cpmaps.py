@@ -47,6 +47,18 @@ def test_kraus_ops_read_only(example_map):
         example_map.ops[0][0, 0] = 1.0
 
 
+def test_kraus_ops_is_one_array_that_does_not_alias_its_input():
+    source = np.arange(12, dtype=np.complex128).reshape(2, 2, 3)
+    kmap = KrausMap(2, 3, source)
+    ops = kmap.ops
+    assert ops.shape == (2, 2, 3) and ops.dtype == np.complex128
+    assert ops.flags.c_contiguous and not ops.flags.writeable
+    source[0, 0, 0] = 99.0  # the writable input changes afterwards
+    assert ops[0, 0, 0] == 0.0 and np.array_equal(ops.ravel(), np.arange(12))
+    assert len(ops) == 2 and [op.shape for op in ops] == [(2, 3), (2, 3)]
+    assert np.array_equal(KrausMap(2, 3, list(source)).ops, source)
+
+
 # ---------------------------------------------------------------------------
 # apply / dual_apply
 

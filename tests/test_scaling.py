@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,13 +222,57 @@ def test_report_history_truncation_only_in_json():
     assert len(report.history) > 5  # the value itself stays complete
 
 
-def test_report_adopts_read_only_history_without_copy():
-    history = np.zeros((3, 2))
-    history.setflags(write=False)
-    assert ScalingReport(2, 0.0, 0.0, True, history).history is history
-    writable = np.zeros((3, 2))
-    copied = ScalingReport(2, 0.0, 0.0, True, writable).history
-    assert copied is not writable and not copied.flags.writeable
+def _read_only(array):
+    array.setflags(write=False)
+    return array
+
+
+@pytest.mark.parametrize(
+    "given",
+    [
+        [(1.0, 0.5), (0.25, 0.125), (0.0625, 0.03125)],
+        np.array([[1.0, 0.5], [0.25, 0.125], [0.0625, 0.03125]]),
+        _read_only(np.array([[1.0, 0.5], [0.25, 0.125], [0.0625, 0.03125]])),
+    ],
+    ids=["list", "writable-array", "read-only-array"],
+)
+def test_report_history_is_an_owned_read_only_copy(given):
+    history = ScalingReport(2, 0.0625, 0.03125, True, given).history
+    assert history is not given and history.base is None
+    assert history.dtype == np.float64 and not history.flags.writeable
+    assert history.tolist() == np.asarray(given).tolist()
+
+
+def _bytes_kept_by_exhausted_run(max_iter):
+    """Bytes still allocated, after ``gc.collect()``, while the
+    ``NoConvergence`` of a budget-exhausted run, traceback included, is
+    alive."""
+    uniform = uniform_targets(3, 3)
+    config = ScalingConfig(uniform.target_K, uniform.target_L, max_iter=max_iter)
+    kmap = random_kraus(3, 3, 3, 2)  # needs 153 iterations
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        try:
+            sinkhorn_scale(kmap, config)
+        except NoConvergence as exc:
+            kept = exc
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept.report.iterations == max_iter
+    return after - before
+
+
+def test_exhausted_run_keeps_one_history_row_per_iteration():
+    # The traceback holds sinkhorn_scale's frame.  The report's float64 rows
+    # cost 16 bytes per iteration; a list of residual pairs left in the
+    # frame would keep about 128 more, a float pair and its tuple.
+    _bytes_kept_by_exhausted_run(150)  # warm caches outside the measurement
+    growth = _bytes_kept_by_exhausted_run(150) - _bytes_kept_by_exhausted_run(50)
+    assert growth <= 100 * 32
 
 
 def test_exhausted_budget_report_holds_the_trimmed_history():
