@@ -74,6 +74,7 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
     numerical_rank,
+    rank_of_values,
     rank_with_margin,
 )
 from .scaling import (
@@ -98,6 +99,7 @@ __all__ = [
     "matrix_from_json",
     "matrix_to_json",
     "numerical_rank",
+    "rank_of_values",
     "rank_with_margin",
     # bipartite
     "BipartiteState",

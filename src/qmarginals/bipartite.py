@@ -16,7 +16,9 @@ only and take them from LAPACK: the partial transpose through
 ``linalg.eigvalsh``, the positivity check from the Hermitian part its one
 Hermiticity pass already formed.  The support basis
 behind the extremality oracle and the Kraus recovery reads eigenvectors and
-still comes from the Jacobi ``linalg.eigh``.
+still comes from the Jacobi ``linalg.eigh``: its top eigenpairs, as many as
+``linalg.rank_of_values`` counts on the eigenvalues, the rule by which the
+rank bound counts the state's rank.  This module has no cutoff of its own.
 """
 
 import math
@@ -38,13 +40,14 @@ VERDICT_ENTANGLED = "entangled"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteState:
     """A density matrix on C^dim_a (x) C^dim_b.
 
     Construct through ``validate_state`` (or the factories in this package),
     which enforce Hermiticity, positivity and unit trace.  ``mat`` is stored
-    read-only; treat states as immutable values.
+    read-only; treat states as immutable values.  Two states are equal only
+    when they are the same object; compare ``mat`` to compare matrices.
     """
 
     dim_a: int
@@ -78,7 +81,7 @@ class Violation:
         return {"kind": self.kind, "message": self.message, "value": self.value}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PptReport:
     """Outcome of the partial-transpose test.
 
@@ -253,17 +256,18 @@ def parthasarathy_bound(dim_a: int, dim_b: int) -> int:
 
 
 def check_rank_bound(state: BipartiteState, tol: float = DEFAULT_TOL) -> bool:
-    """Whether the state's numerical rank respects ``parthasarathy_bound``;
-    a violation rules out extremality outright."""
-    return numerical_rank(state.mat, tol) <= parthasarathy_bound(state.dim_a, state.dim_b)
+    """Whether the rank of the state's spectrum (``rank_of_values``) respects
+    ``parthasarathy_bound``; a violation rules out extremality outright."""
+    rank = linalg.rank_of_values(eigvalsh(state.mat, tol), tol).rank
+    return rank <= parthasarathy_bound(state.dim_a, state.dim_b)
 
 
 def _support(state: BipartiteState, tol: float) -> Tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of ``state`` on its support:
-    eigenvalues above ``tol * max(lambda_max, 0)``."""
+    the top ``rank_of_values`` eigenpairs of its ``eigh``."""
     values, vectors = eigh(state.mat, tol)
-    support = values > tol * max(float(values[-1]), 0.0)
-    return values[support], vectors[:, support]
+    start = len(values) - linalg.rank_of_values(values, tol).rank
+    return values[start:], vectors[:, start:]
 
 
 def perturbation_freedom_dim(state: BipartiteState, tol: float = DEFAULT_TOL) -> int:

@@ -3,9 +3,10 @@
 Subcommands wire the library together around JSON files:
 
 * ``verify-state``   - density-matrix validity plus the full marginal /
-  rank / PPT / extremality report for a state file.  The rank comes with
-  its margin, the smallest retained and largest discarded squared singular
-  values (``linalg.rank_with_margin``).
+  rank / PPT / extremality report for a state file.  The reported
+  spectrum, the rank and its margin (the smallest retained and largest
+  discarded squared eigenvalues) come from one ``eigvalsh`` through
+  ``linalg.rank_of_values``, the rule the perturbation oracle reads too.
 * ``choi`` / ``kraus`` - convert between Kraus families and composite
   states (inverse directions of the same correspondence).
 * ``extremal-check`` - both linear-independence criteria and the
@@ -63,8 +64,7 @@ from .linalg import (
     is_positive_int,
     matrix_from_json,
     matrix_to_json,
-    numerical_rank,
-    rank_with_margin,
+    rank_of_values,
 )
 from .scaling import ScalingConfig, random_kraus, sinkhorn_scale
 
@@ -138,7 +138,8 @@ def _fmt_matrix(mat: np.ndarray, indent: str = "  ") -> str:
 def _check_family_reproduces(kmap: KrausMap, state: BipartiteState, tol: float) -> None:
     """Refuse a Kraus family whose composite state differs from ``state`` by
     more than ``tol * max(1, ||state||_F)`` in the Frobenius norm."""
-    deviation = frobenius(_composite_matrix(kmap.ops) - state.mat)
+    with np.errstate(over="ignore"):  # an overflow is a deviation of inf, refused below
+        deviation = frobenius(_composite_matrix(kmap.ops) - state.mat)
     limit = tol * max(1.0, frobenius(state.mat))
     if deviation > limit:
         raise ValueError(
@@ -148,20 +149,20 @@ def _check_family_reproduces(kmap: KrausMap, state: BipartiteState, tol: float) 
 
 
 def _analyze_state(state: BipartiteState, tol: float, kmap: Optional[KrausMap]) -> dict:
-    decision = rank_with_margin(state.mat, tol)
-    rank = decision.rank
+    spectrum = eigvalsh(state.mat, tol)
+    decision = rank_of_values(spectrum, tol)
     bound = parthasarathy_bound(state.dim_a, state.dim_b)
     freedom = perturbation_freedom_dim(state, tol)
     report = {
         "marginal_a": matrix_to_json(partial_trace_b(state)),
         "marginal_b": matrix_to_json(partial_trace_a(state)),
-        "eigenvalues": [float(x) for x in eigvalsh(state.mat, tol)],
-        "rank": rank,
+        "eigenvalues": [float(x) for x in spectrum],
+        "rank": decision.rank,
         "rank_margin": {
             "smallest_retained": decision.smallest_retained,
             "largest_discarded": decision.largest_discarded,
         },
-        "rank_bound": {"bound": bound, "within_bound": rank <= bound},
+        "rank_bound": {"bound": bound, "within_bound": decision.rank <= bound},
         "ppt": ppt_check(state, tol).to_json(),
         "perturbation_freedom": freedom,
         "extreme_in_marginal_set": freedom == 0,
@@ -406,7 +407,7 @@ def cmd_demo(args) -> int:
     check("eigenvalues are (0, 0, 0, 0, 1/2, 1/2)", dev_spec <= 1e-12,
           f"spectrum {np.array2string(spectrum, precision=6)}")
 
-    rank = numerical_rank(state.mat, args.tol)
+    rank = rank_of_values(spectrum, args.tol).rank
     check("rank is 2", rank == 2, f"rank {rank}")
     bound = parthasarathy_bound(2, 3)
     check("rank respects the extremality bound", rank <= bound, f"{rank} <= {bound}")

@@ -34,7 +34,7 @@ CRITERION_CHOI = "choi"
 CRITERION_LANDAU_STREATER = "landau_streater"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausMap:
     """Finite Kraus family {V_l} of n x m matrices, r >= 1.
 
@@ -42,7 +42,8 @@ class KrausMap:
     and held as one read-only, C-contiguous complex128 ``(r, n, m)`` array
     ``ops``: ``ops[l]`` is V_l, and iterating over ``ops`` or taking its
     ``len`` gives the operators.  The operators are copied in, so a later
-    write to the input leaves the family as it was."""
+    write to the input leaves the family as it was.  Two families are equal
+    only when they are the same object."""
 
     n: int
     m: int

@@ -1,10 +1,12 @@
 """Dense complex matrix kernel.
 
 Everything downstream works with 2-D ``numpy.ndarray`` values of dtype
-complex128.  Numerical ranks come from LAPACK singular values
-(``numpy.linalg.svd``).  Questions that read eigenvalues only (positivity,
-the partial-transpose spectrum, a reported spectrum) go to LAPACK through
-``eigvalsh`` (``numpy.linalg.eigvalsh``).  Eigenvectors come from ``eigh``,
+complex128.  Numerical ranks and their margins come from one rule,
+``rank_of_values``, on ascending real values: a state's spectrum, or LAPACK
+singular values (``numpy.linalg.svd``) in ``rank_with_margin``.  Questions
+that read eigenvalues only (positivity, the partial-transpose spectrum, a
+reported spectrum) go to LAPACK through ``eigvalsh``
+(``numpy.linalg.eigvalsh``).  Eigenvectors come from ``eigh``,
 a single pure-Python cyclic Jacobi kernel, due to become
 ``numpy.linalg.eigh``: every matrix it sees is small (dimension <= 64), it
 is deterministic for a fixed input, and its rotation count is easy to audit.
@@ -216,7 +218,7 @@ def eigvalsh(h: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 class RankDecision(NamedTuple):
-    """Numerical rank plus the Gram eigenvalues bracketing the cutoff, so a
+    """Numerical rank plus the squared values bracketing the cutoff, so a
     near-threshold decision can be audited."""
 
     rank: int
@@ -224,30 +226,30 @@ class RankDecision(NamedTuple):
     largest_discarded: Optional[float]
 
 
-def rank_with_margin(mat: np.ndarray, tol: float = DEFAULT_TOL) -> RankDecision:
-    """Numerical rank of a rectangular matrix with the decision margin.
-
-    Counts singular values above ``tol`` times the largest one, i.e. Gram
-    eigenvalues above ``tol^2`` relative; the margins are reported on the
-    Gram (squared) scale.  The singular values come from LAPACK
-    (``numpy.linalg.svd``) on the matrix itself, never from an explicitly
-    formed product, whose rounding noise (about 1e-15 of the top Gram
-    eigenvalue) would drown the ``tol^2 = 1e-16`` default cutoff.  A zero
-    matrix has rank 0 with margins ``(None, 0.0)``.
-    """
-    sigmas = np.linalg.svd(as_matrix(mat), compute_uv=False)[::-1]  # ascending
-    sigma_max = float(sigmas[-1])
-    if sigma_max <= 0.0:
-        return RankDecision(0, None, 0.0)
-    kept = sigmas[sigmas > tol * sigma_max]
-    dropped = sigmas[sigmas <= tol * sigma_max]
-    # Squared as Python floats, so that past about 1.3e154 a margin is inf
-    # without numpy's overflow warning.
+def rank_of_values(values: np.ndarray, tol: float = DEFAULT_TOL) -> RankDecision:
+    """The one rank rule: how many of the ascending real ``values`` lie above
+    ``tol * max(largest, 0)``, with the smallest retained and the largest
+    discarded value, squared, as the margins.  A negative value is never
+    retained and counts as zero in a margin; all-zero input gives
+    ``(0, None, 0.0)``.  Squared as Python floats, so that past about 1.3e154
+    a margin is inf without numpy's overflow warning."""
+    rank = int(np.count_nonzero(values > tol * max(float(values[-1]), 0.0)))
+    kept = float(values[-rank]) if rank else None
+    dropped = max(float(values[-rank - 1]), 0.0) if rank < len(values) else None
     return RankDecision(
-        int(kept.size),
-        float(kept[0]) * float(kept[0]) if kept.size else None,
-        float(dropped[-1]) * float(dropped[-1]) if dropped.size else None,
+        rank,
+        None if kept is None else kept * kept,
+        None if dropped is None else dropped * dropped,
     )
+
+
+def rank_with_margin(mat: np.ndarray, tol: float = DEFAULT_TOL) -> RankDecision:
+    """Numerical rank of a rectangular matrix with the decision margin:
+    ``rank_of_values`` of its singular values, margins on the Gram (squared)
+    scale.  The singular values come from LAPACK (``numpy.linalg.svd``) on the
+    matrix itself, never from a formed product, whose rounding noise (about
+    1e-15 of the top Gram eigenvalue) would drown the ``tol^2`` cutoff."""
+    return rank_of_values(np.linalg.svd(as_matrix(mat), compute_uv=False)[::-1], tol)
 
 
 def numerical_rank(mat: np.ndarray, tol: float = DEFAULT_TOL) -> int:

@@ -67,7 +67,7 @@ from .errors import (
 from .linalg import DEFAULT_TOL, as_matrix, dagger, eigh, frobenius, is_positive_int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalingConfig:
     """Targets and budget for the alternating scaling iteration.
 
@@ -86,10 +86,10 @@ class ScalingConfig:
     target_L: np.ndarray  # n x n, for sum V V^dagger
     max_iter: int = 10000
     residual_tol: float = 1e-10
-    _spectrum_K: np.ndarray = field(init=False, repr=False, compare=False)
-    _root_K: np.ndarray = field(init=False, repr=False, compare=False)
-    _spectrum_L: np.ndarray = field(init=False, repr=False, compare=False)
-    _root_L: np.ndarray = field(init=False, repr=False, compare=False)
+    _spectrum_K: np.ndarray = field(init=False, repr=False)
+    _root_K: np.ndarray = field(init=False, repr=False)
+    _spectrum_L: np.ndarray = field(init=False, repr=False)
+    _root_L: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not is_positive_int(self.max_iter):
@@ -121,7 +121,7 @@ class ScalingConfig:
                 object.__setattr__(self, attr, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalingReport:
     """Iteration trace: residuals are Frobenius distances of the two
     operator sums from their targets.  ``history`` is a read-only

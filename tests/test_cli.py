@@ -14,9 +14,12 @@ from hypothesis import strategies as st
 
 import qmarginals
 from qmarginals import (
+    KrausMap,
+    check_rank_bound,
     choi_state,
     extremal_qubit_qutrit_map,
     kraus_from_json,
+    kraus_from_state,
     kraus_to_json,
     matrix_to_json,
     mix_ops,
@@ -116,11 +119,34 @@ def test_verify_state_rank_margin_brackets_the_cutoff(tmp_path, capsys, factor, 
     assert f"rank: {rank} (retained " in capsys.readouterr().out
 
 
+def test_rank_bound_and_oracle_read_one_rank_rule(tmp_path, capsys):
+    # a rank-3 state with its null eigenvalue pushed to -8e-9: larger in
+    # magnitude than the cutoff 1e-8 * lambda_max, but not support
+    rho = choi_state(random_kraus(2, 3, 3, 0))
+    null = np.linalg.eigh(rho.mat)[1][:, 0]
+    state = validate_state(rho.mat - 8e-9 * np.outer(null, null.conj()), 2, 3)
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(state_to_json(state)))
+    assert main(["verify-state", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["eigenvalues"][0] == pytest.approx(-8e-9, rel=1e-6)
+    assert report["rank"] == 3
+    assert report["rank_bound"] == {"bound": 3, "within_bound": True}
+    assert report["perturbation_freedom"] == 0
+    assert check_rank_bound(state)
+    assert kraus_from_state(state).r == 3
+    assert main(["verify-state", str(path)]) == 0
+    assert "cannot be an extreme point" not in capsys.readouterr().out
+
+
 def test_verify_state_with_kraus_section(example_state_file, example_kraus_file, capsys):
     code = main(["verify-state", example_state_file, "--kraus", example_kraus_file, "--json"])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["doubly_constrained"]["verdict"] is True
+    assert main(["verify-state", example_state_file, "--kraus", example_kraus_file]) == 0
+    text = capsys.readouterr().out
+    assert "doubly-constrained criterion: stacked rank 4 of 4 -> extreme" in text
 
 
 def test_verify_state_shows_ppt_threshold(example_state_file, capsys):
@@ -173,6 +199,18 @@ def test_verify_state_refuses_family_of_other_state(tmp_path, capsys):
     _assert_one_line_error(capsys)
 
 
+def test_verify_state_refuses_overflowing_family_with_one_line(tmp_path, capsys):
+    # the family's composite state has entries near 1e280: its deviation
+    # from the state overflows the Frobenius norm
+    kmap = extremal_qubit_qutrit_map()
+    paths = _write_state_and_family(tmp_path, kmap, KrausMap(2, 3, kmap.ops * 1e140))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify-state", paths[0], "--kraus", paths[1]]) == 2
+    assert caught == []
+    _assert_one_line_error(capsys)
+
+
 def test_verify_state_maximally_mixed_flags_bound(tmp_path, capsys):
     state = validate_state(np.eye(6, dtype=complex) / 6, 2, 3)
     path = tmp_path / "mixed.json"
@@ -198,6 +236,10 @@ def test_verify_state_invalid_reports_violations(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert not report["valid"]
     assert any(v["kind"] == "trace_not_one" for v in report["violations"])
+    assert main(["verify-state", str(path)]) == 1
+    text = capsys.readouterr().out
+    assert "valid density matrix: NO" in text
+    assert "  violation [trace_not_one]: trace is " in text
 
 
 def test_verify_state_bare_matrix_needs_dims(tmp_path, capsys):
@@ -209,6 +251,23 @@ def test_verify_state_bare_matrix_needs_dims(tmp_path, capsys):
     assert main(["verify-state", str(path), "--dims", "2,3", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["valid"] and report["dim_a"] == 2 and report["dim_b"] == 3
+
+
+@pytest.mark.parametrize(
+    "dims, reason",
+    [
+        ("2", "expected two comma-separated integers"),
+        ("a,b", "dimensions must be integers"),
+        ("0,3", "dimensions must be positive"),
+    ],
+)
+def test_verify_state_rejects_bad_dims(tmp_path, capsys, dims, reason):
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(matrix_to_json(np.eye(6) / 6)))
+    assert main(["verify-state", str(path), "--dims", dims]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines[0].startswith("usage: qmarginals")
+    assert f"error: argument --dims: {reason}" in lines[-1]
 
 
 def test_verify_state_truncated_file(tmp_path, capsys):
@@ -385,8 +444,21 @@ def test_sinkhorn_rank_obstruction_fails(tmp_path, capsys):
     assert "rank" in capsys.readouterr().err
 
 
-def test_sinkhorn_rejects_zero_ops():
+def test_sinkhorn_rejects_zero_ops(capsys):
     assert main(["sinkhorn", "--n", "2", "--m", "3", "--r", "0"]) == 2
+    _assert_one_line_error(capsys)
+    for n, m in (("0", "3"), ("2", "0")):
+        assert main(["sinkhorn", "--n", n, "--m", m, "--r", "2"]) == 2
+        _assert_one_line_error(capsys)
+
+
+def test_sinkhorn_json_summary_when_writing_a_file(tmp_path, capsys):
+    out = tmp_path / "scaled.json"
+    argv = ["sinkhorn", "--n", "2", "--m", "3", "--r", "2", "--seed", "7", "-o", str(out)]
+    assert main(argv + ["--json"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary == json.loads(out.read_text())["report"]
+    assert summary["converged"]
 
 
 def test_sinkhorn_deterministic_documents(tmp_path):
@@ -574,6 +646,15 @@ def test_entry_past_the_frobenius_limit_is_refused_naming_entries(tmp_path, caps
     err = capsys.readouterr().err
     assert "'entries'" in err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_nan_entry_is_refused_naming_entries(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"rows": 1, "cols": 1, "entries": [[float("nan"), 0.0]]}))
+    assert "NaN" in path.read_text()
+    assert main(["verify-state", "--dims", "1,1", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: field 'entries': entries must be finite\n"
 
 
 def test_extremal_check_huge_entry_fails_with_one_line(tmp_path, capsys):

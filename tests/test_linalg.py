@@ -18,6 +18,7 @@ from qmarginals import (
     numerical_rank,
     partial_transpose_b,
     random_kraus,
+    rank_of_values,
     rank_with_margin,
 )
 from qmarginals import DimensionMismatch
@@ -267,6 +268,30 @@ def test_rank_margin_overflows_to_inf_without_warning():
     assert decision.rank == 1
     assert decision.smallest_retained == np.inf
     assert decision.largest_discarded == 1.0
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [
+        # -8e-9 is larger in magnitude than the cutoff 1e-8 * 0.5, but negative
+        ([-8e-9, -1e-17, 2e-18, 0.1, 0.5], (2, 0.1 * 0.1, 2e-18 * 2e-18)),
+        ([0.0, 0.0, 0.0], (0, None, 0.0)),
+        ([-3.0, -1.0], (0, None, 0.0)),  # the cutoff is tol * max(largest, 0) = 0
+        ([-1e-20, 0.25], (1, 0.0625, 0.0)),  # a discarded negative counts as zero
+        ([0.5, 1.0], (2, 0.25, None)),
+    ],
+)
+def test_rank_of_values_never_counts_a_negative_value(values, expected):
+    assert tuple(rank_of_values(np.array(values))) == expected
+
+
+def test_rank_of_values_overflows_to_inf_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        signed = rank_of_values(np.array([-1e200, 1e200]))
+        both = rank_of_values(np.array([1e170, 1e200]), tol=1e-150)
+    assert signed == (1, np.inf, 0.0)
+    assert both == (2, np.inf, None)
 
 
 def test_matrix_json_round_trip():

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import _np_root_and_inv_root, polar_by_mask, sinkhorn_by_eigh, sinkhorn_by_svd
 
 from qmarginals import (
+    DimensionMismatch,
     InfeasibleRank,
     KrausMap,
     NoConvergence,
@@ -19,6 +21,8 @@ from qmarginals import (
     TraceNotOne,
     check_rank_bound,
     choi_state,
+    doubly_constrained_extremality,
+    extremal_qubit_qutrit_map,
     find_extremal_candidate,
     linalg,
     mix_ops,
@@ -26,6 +30,7 @@ from qmarginals import (
     partial_trace_a,
     partial_trace_b,
     perturbation_freedom_dim,
+    ppt_check,
     random_kraus,
     residuals,
     sampling,
@@ -65,6 +70,53 @@ def test_config_rejects_unusable_residual_tol(residual_tol):
 def test_config_rejects_non_positive_integer_max_iter(max_iter):
     with pytest.raises(ValueError, match="max_iter"):
         ScalingConfig(np.eye(3) / 3, np.eye(2) / 2, max_iter=max_iter)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ScalingConfig(np.ones((3, 2)) / 2, np.eye(2) / 2), "target_K must be square"),
+        (lambda: ScalingConfig(np.eye(3) / 3, np.ones((2, 3)) / 2), "target_L must be square"),
+        (lambda: residuals(random_kraus(2, 3, 2, 0), np.eye(2) / 2, np.eye(2) / 2), "target_K"),
+        (lambda: residuals(random_kraus(2, 3, 2, 0), np.eye(3) / 3, np.eye(3) / 3), "target_L"),
+        (lambda: sinkhorn_scale(random_kraus(2, 3, 2, 0), uniform_targets(3, 3)), "(2, 3) family"),
+    ],
+    ids=["config-K", "config-L", "residuals-K", "residuals-L", "sinkhorn"],
+)
+def test_targets_of_other_shapes_raise_dimension_mismatch(call, message):
+    with pytest.raises(DimensionMismatch, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        extremal_qubit_qutrit_map,
+        lambda: choi_state(extremal_qubit_qutrit_map()),
+        lambda: ppt_check(choi_state(extremal_qubit_qutrit_map())),
+        lambda: ScalingConfig(np.eye(3) / 3, np.eye(2) / 2),
+        lambda: sinkhorn_scale(random_kraus(2, 3, 2, 7), UNIFORM_23)[1],
+    ],
+    ids=["KrausMap", "BipartiteState", "PptReport", "ScalingConfig", "ScalingReport"],
+)
+def test_array_holding_values_compare_by_identity(make):
+    first, second = make(), make()
+    assert first == first and first != second
+    assert len({first, second, first}) == 2 and hash(first) == hash(first)
+    copy = dataclasses.replace(first)
+    assert copy is not first and copy != first
+    for name in first.__dataclass_fields__:
+        value = getattr(first, name)
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(getattr(copy, name), value)
+        else:
+            assert getattr(copy, name) == value
+
+
+def test_extremality_report_compares_by_value():
+    kmap = extremal_qubit_qutrit_map()
+    first, second = doubly_constrained_extremality(kmap), doubly_constrained_extremality(kmap)
+    assert first is not second and first == second and hash(first) == hash(second)
 
 
 def test_config_accepts_rank_deficient_targets():
