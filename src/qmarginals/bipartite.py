@@ -16,9 +16,9 @@ only and take them from LAPACK: the partial transpose through
 ``linalg.eigvalsh``, the positivity check from the Hermitian part its one
 Hermiticity pass already formed.  The support basis
 behind the extremality oracle and the Kraus recovery reads eigenvectors and
-still comes from the Jacobi ``linalg.eigh``: its top eigenpairs, as many as
-``linalg.rank_of_values`` counts on the eigenvalues, the rule by which the
-rank bound counts the state's rank.  This module has no cutoff of its own.
+still comes from the Jacobi ``linalg.eigh``: its top eigenvectors, as many
+as ``linalg.rank_of_values`` counts on the ``eigvalsh`` spectrum, the count
+the rank bound reads.  This module has no cutoff of its own.
 """
 
 import math
@@ -264,10 +264,11 @@ def check_rank_bound(state: BipartiteState, tol: float = DEFAULT_TOL) -> bool:
 
 def _support(state: BipartiteState, tol: float) -> Tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of ``state`` on its support:
-    the top ``rank_of_values`` eigenpairs of its ``eigh``."""
-    values, vectors = eigh(state.mat, tol)
+    the top ``rank_of_values`` values of its ``eigvalsh`` spectrum, the count
+    ``check_rank_bound`` reads, with the matching top columns of ``eigh``."""
+    values = eigvalsh(state.mat, tol)
     start = len(values) - linalg.rank_of_values(values, tol).rank
-    return values[start:], vectors[:, start:]
+    return values[start:], eigh(state.mat, tol).eigenvectors[:, start:]
 
 
 def perturbation_freedom_dim(state: BipartiteState, tol: float = DEFAULT_TOL) -> int:
@@ -325,16 +326,13 @@ def state_to_json(state: BipartiteState) -> dict:
     }
 
 
+def _state_fields(obj) -> Tuple[int, int, np.ndarray]:
+    """``(dim_a, dim_b, matrix)`` of a state wire object, not yet validated."""
+    dim_a, dim_b, matrix = linalg._wire_fields(obj, "state", ("dim_a", "dim_b", "matrix"))
+    return dim_a, dim_b, linalg.matrix_from_json(matrix)
+
+
 def state_from_json(obj, tol: float = DEFAULT_TOL) -> BipartiteState:
     """Parse and validate the state wire format."""
-    if not isinstance(obj, dict):
-        raise ValueError("state object: expected a JSON object")
-    for field in ("dim_a", "dim_b", "matrix"):
-        if field not in obj:
-            raise ValueError(f"state object: missing field '{field}'")
-    dim_a, dim_b = obj["dim_a"], obj["dim_b"]
-    if not linalg.is_positive_int(dim_a):
-        raise ValueError("field 'dim_a': expected a positive integer")
-    if not linalg.is_positive_int(dim_b):
-        raise ValueError("field 'dim_b': expected a positive integer")
-    return validate_state(linalg.matrix_from_json(obj["matrix"]), dim_a, dim_b, tol)
+    dim_a, dim_b, mat = _state_fields(obj)
+    return validate_state(mat, dim_a, dim_b, tol)

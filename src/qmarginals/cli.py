@@ -6,7 +6,7 @@ Subcommands wire the library together around JSON files:
   rank / PPT / extremality report for a state file.  The reported
   spectrum, the rank and its margin (the smallest retained and largest
   discarded squared eigenvalues) come from one ``eigvalsh`` through
-  ``linalg.rank_of_values``, the rule the perturbation oracle reads too.
+  ``linalg.rank_of_values``, the rule and spectrum the oracle reads too.
 * ``choi`` / ``kraus`` - convert between Kraus families and composite
   states (inverse directions of the same correspondence).
 * ``extremal-check`` - both linear-independence criteria and the
@@ -34,6 +34,7 @@ import numpy as np
 from . import __version__
 from .bipartite import (
     BipartiteState,
+    _state_fields,
     partial_trace_a,
     partial_trace_b,
     parthasarathy_bound,
@@ -61,7 +62,6 @@ from .linalg import (
     DEFAULT_TOL,
     eigvalsh,
     frobenius,
-    is_positive_int,
     matrix_from_json,
     matrix_to_json,
     rank_of_values,
@@ -90,15 +90,13 @@ def _read_json(path: str):
 
 
 def _write_text(path: str, text: str) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if path == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
 
 
 def _emit(report: dict, as_json: bool, render) -> None:
@@ -106,6 +104,11 @@ def _emit(report: dict, as_json: bool, render) -> None:
         print(json.dumps(report, indent=2))
     else:
         print(render(report))
+
+
+def _load_target(path: Optional[str], dim: int) -> np.ndarray:
+    """A target marginal from a matrix file; identity/dim without one."""
+    return matrix_from_json(_read_json(path)) if path else np.eye(dim, dtype=np.complex128) / dim
 
 
 def _load_kraus(path: str) -> KrausMap:
@@ -214,10 +217,7 @@ def _render_analysis(report: dict) -> str:
 def cmd_verify_state(args) -> int:
     obj = _read_json(args.state_file)
     if isinstance(obj, dict) and "matrix" in obj:
-        dims = (obj.get("dim_a"), obj.get("dim_b"))
-        if not all(is_positive_int(d) for d in dims):
-            raise ValueError("state object: fields 'dim_a'/'dim_b' must be positive integers")
-        mat = matrix_from_json(obj["matrix"])
+        *dims, mat = _state_fields(obj)
     else:
         if args.dims is None:
             raise ValueError(
@@ -329,16 +329,10 @@ def cmd_sinkhorn(args) -> int:
         raise ValueError("--n and --m must be at least 1")
     if args.history < 0:
         raise ValueError("--history must be 0 or more")
-    target_k = (
-        matrix_from_json(_read_json(args.target_k))
-        if args.target_k
-        else np.eye(args.m, dtype=np.complex128) / args.m
-    )
-    target_l = (
-        matrix_from_json(_read_json(args.target_l))
-        if args.target_l
-        else np.eye(args.n, dtype=np.complex128) / args.n
-    )
+    if args.seed < 0:
+        raise ValueError("--seed must be 0 or more")
+    target_k = _load_target(args.target_k, args.m)
+    target_l = _load_target(args.target_l, args.n)
     config = ScalingConfig(target_k, target_l, max_iter=args.max_iter, residual_tol=args.tol)
     start = random_kraus(args.n, args.m, args.r, args.seed)
 
@@ -483,33 +477,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
+    report = argparse.ArgumentParser(add_help=False, parents=[tol])
+    report.add_argument("--json", action="store_true", help="machine-readable output")
 
-    p = sub.add_parser("verify-state", help="validate a state file and report its structure")
+    p = sub.add_parser("verify-state", parents=[report],
+                       help="validate a state file and report its structure")
     p.add_argument("state_file", help="state JSON (or bare matrix JSON with --dims); - for stdin")
     p.add_argument("--dims", type=_parse_dims, default=None, metavar="N,M",
                    help="factor dimensions when the input is a bare matrix")
     p.add_argument("--kraus", default=None, metavar="FILE",
                    help="optional Kraus file to include the two-marginal criterion")
-    p.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(handler=cmd_verify_state)
 
-    p = sub.add_parser("choi", help="composite state of a Kraus file")
+    p = sub.add_parser("choi", parents=[tol], help="composite state of a Kraus file")
     p.add_argument("kraus_file", help="Kraus JSON; - for stdin")
     p.add_argument("-o", "--output", default="-", help="state JSON destination; - for stdout")
-    p.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
     p.set_defaults(handler=cmd_choi)
 
-    p = sub.add_parser("kraus", help="Kraus family reproducing a state file")
+    p = sub.add_parser("kraus", parents=[tol], help="Kraus family reproducing a state file")
     p.add_argument("state_file", help="state JSON; - for stdin")
     p.add_argument("-o", "--output", default="-", help="Kraus JSON destination; - for stdout")
-    p.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
     p.set_defaults(handler=cmd_kraus)
 
-    p = sub.add_parser("extremal-check", help="extremality criteria for a Kraus file")
+    p = sub.add_parser("extremal-check", parents=[report],
+                       help="extremality criteria for a Kraus file")
     p.add_argument("kraus_file", help="Kraus JSON; - for stdin")
-    p.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(handler=cmd_extremal_check)
 
     p = sub.add_parser("sinkhorn", help="scale a seeded random family to target marginals")
@@ -531,9 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="machine-readable summary when writing to a file")
     p.set_defaults(handler=cmd_sinkhorn)
 
-    p = sub.add_parser("demo", help="verify the bundled qubit-qutrit extremal example")
-    p.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
+    p = sub.add_parser("demo", parents=[report],
+                       help="verify the bundled qubit-qutrit extremal example")
     p.set_defaults(handler=cmd_demo)
 
     return parser
@@ -550,10 +543,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: JSON parse failure at byte offset {exc.pos}: {exc.msg}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, DimensionMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, DimensionMismatch, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

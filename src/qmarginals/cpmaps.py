@@ -270,17 +270,7 @@ def kraus_to_json(kmap: KrausMap) -> dict:
 
 def kraus_from_json(obj) -> KrausMap:
     """Parse the Kraus wire format."""
-    if not isinstance(obj, dict):
-        raise ValueError("kraus object: expected a JSON object")
-    for field in ("n", "m", "ops"):
-        if field not in obj:
-            raise ValueError(f"kraus object: missing field '{field}'")
-    n, m = obj["n"], obj["m"]
-    if not linalg.is_positive_int(n):
-        raise ValueError("field 'n': expected a positive integer")
-    if not linalg.is_positive_int(m):
-        raise ValueError("field 'm': expected a positive integer")
-    ops_json = obj["ops"]
+    n, m, ops_json = linalg._wire_fields(obj, "kraus", ("n", "m", "ops"))
     if not isinstance(ops_json, list) or not ops_json:
         raise ValueError("field 'ops': expected a nonempty list of matrices")
     return KrausMap(n, m, [linalg.matrix_from_json(item) for item in ops_json])

@@ -274,6 +274,21 @@ def is_positive_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
+def _wire_fields(obj, kind: str, fields: Tuple[str, ...]) -> list:
+    """The ``fields`` of the parsed ``kind`` wire object ``obj``, in order;
+    every field but the last is a count and must be ``is_positive_int``.
+    Each failure is one ``ValueError`` that names the field."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{kind} object: expected a JSON object")
+    for field in fields:
+        if field not in obj:
+            raise ValueError(f"{kind} object: missing field '{field}'")
+    for field in fields[:-1]:
+        if not is_positive_int(obj[field]):
+            raise ValueError(f"field '{field}': expected a positive integer")
+    return [obj[field] for field in fields]
+
+
 def matrix_from_json(obj) -> np.ndarray:
     """Parse the matrix wire format, naming the offending field on error.
 
@@ -281,17 +296,7 @@ def matrix_from_json(obj) -> np.ndarray:
     matrices whose ``frobenius`` norm is not finite (its sum of squares
     overflows above about 1.3e154): every later tolerance is relative to
     that norm."""
-    if not isinstance(obj, dict):
-        raise ValueError("matrix object: expected a JSON object")
-    for field in ("rows", "cols", "entries"):
-        if field not in obj:
-            raise ValueError(f"matrix object: missing field '{field}'")
-    rows, cols = obj["rows"], obj["cols"]
-    if not is_positive_int(rows):
-        raise ValueError("field 'rows': expected a positive integer")
-    if not is_positive_int(cols):
-        raise ValueError("field 'cols': expected a positive integer")
-    entries = obj["entries"]
+    rows, cols, entries = _wire_fields(obj, "matrix", ("rows", "cols", "entries"))
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ValueError(
             f"field 'entries': expected {rows * cols} [re, im] pairs, "

@@ -19,6 +19,7 @@ from qmarginals import (
     TraceNotOne,
     bipartite,
     check_rank_bound,
+    choi_state,
     kron,
     linalg,
     max_entangled_projector,
@@ -30,6 +31,7 @@ from qmarginals import (
     partial_transpose_b,
     perturbation_freedom_dim,
     ppt_check,
+    random_kraus,
     random_separable,
     sampling,
     state_from_json,
@@ -386,6 +388,31 @@ def test_perturbation_freedom_mixture_of_entangled_projectors():
     assert dim > 0
 
 
+def near_cutoff_state(seed):
+    """A rank-3 2x3 state whose null direction is lifted to the rank cutoff
+    1e-8 * lambda_max, give or take a relative 2e-14: within rounding of it."""
+    rho = choi_state(random_kraus(2, 3, 3, seed)).mat
+    values, vectors = np.linalg.eigh(rho)
+    null = vectors[:, 0]
+    jitter = (np.random.default_rng(seed).random() - 0.5) * 4e-14
+    mat = rho + 1e-8 * values[-1] * (1.0 + jitter) * np.outer(null, null.conj())
+    mat = (mat + mat.conj().T) / 2.0
+    return validate_state(mat / np.trace(mat).real, 2, 3)
+
+
+def test_rank_bound_and_oracle_count_one_spectrum_near_the_cutoff():
+    # a rank r above the bound has r^2 > n^2 + m^2 - 1 unknowns, while the
+    # constraint map's n^2 + m^2 rows carry the trace twice, so its rank is
+    # at most n^2 + m^2 - 1 and the oracle must find freedom
+    above = 0
+    for seed in range(40):
+        state = near_cutoff_state(seed)
+        if not check_rank_bound(state):
+            above += 1
+            assert perturbation_freedom_dim(state) >= 1, seed
+    assert 0 < above < 40
+
+
 @pytest.mark.parametrize("verdict", [ppt_check, perturbation_freedom_dim])
 def test_verdicts_refuse_state_with_overflowing_norm(verdict):
     # BipartiteState takes library input unvalidated; its norm overflows
@@ -433,7 +460,17 @@ def test_state_json_round_trip(example_state):
 
 
 def test_state_json_rejects_missing_fields(example_state):
-    doc = state_to_json(example_state)
-    del doc["dim_a"]
-    with pytest.raises(ValueError):
-        state_from_json(doc)
+    with pytest.raises(ValueError, match="^state object: expected a JSON object$"):
+        state_from_json([2, 3])
+    for field in ("dim_a", "dim_b", "matrix"):
+        doc = state_to_json(example_state)
+        del doc[field]
+        with pytest.raises(ValueError, match=f"^state object: missing field '{field}'$"):
+            state_from_json(doc)
+    for field in ("dim_a", "dim_b"):
+        for value in (True, 0):
+            doc = state_to_json(example_state)
+            doc[field] = value
+            message = f"^field '{field}': expected a positive integer$"
+            with pytest.raises(ValueError, match=message):
+                state_from_json(doc)

@@ -483,6 +483,8 @@ def test_sinkhorn_rejects_negative_history(capsys):
     argv = ["sinkhorn", "--n", "2", "--m", "3", "--r", "2", "--history", "-5"]
     assert main(argv) == 2
     _assert_one_line_error(capsys)
+    assert main(["sinkhorn", "--n", "2", "--m", "3", "--r", "2", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be 0 or more\n"
 
 
 @pytest.mark.parametrize("message", ["Unable to allocate 149. GiB for an array", ""])
@@ -584,6 +586,23 @@ def test_verify_state_rejects_json_booleans(tmp_path, capsys, corrupt):
 
 
 @pytest.mark.parametrize(
+    "corrupt",
+    [lambda doc: doc.pop("dim_a"), lambda doc: doc.update(dim_b=0)],
+    ids=["missing-dim_a", "zero-dim_b"],
+)
+def test_verify_state_reads_state_objects_like_kraus(tmp_path, capsys, corrupt):
+    doc = _state_doc()
+    corrupt(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["kraus", str(path)]) == 2
+    expected = capsys.readouterr().err
+    assert expected.startswith("error: ") and expected.count("\n") == 1
+    assert main(["verify-state", str(path)]) == 2
+    assert capsys.readouterr().err == expected
+
+
+@pytest.mark.parametrize(
     "command, field",
     [("kraus", "dim_a"), ("kraus", "dim_b"), ("choi", "n"), ("extremal-check", "m")],
 )
@@ -597,6 +616,25 @@ def test_state_and_kraus_parsers_reject_json_booleans(tmp_path, capsys, command,
     path.write_text(json.dumps(doc))
     assert main([command, str(path)]) == 2
     _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "command, offers_json",
+    [
+        ("verify-state", True),
+        ("choi", False),
+        ("kraus", False),
+        ("extremal-check", True),
+        ("sinkhorn", True),
+        ("demo", True),
+    ],
+)
+def test_subcommand_help_lists_its_options(capsys, command, offers_json):
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: qmarginals {command} ")
+    assert "--tol" in out
+    assert ("--json" in out) == offers_json
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "-inf", "abc"])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from oracles import choi_by_definition, np_rank, random_psd
@@ -394,15 +396,28 @@ def test_kraus_json_round_trip(example_map):
         assert np.array_equal(mine, theirs)
 
 
+ONE_OP = [{"rows": 1, "cols": 1, "entries": [[1.0, 0.0]]}]
+
+
 @pytest.mark.parametrize(
-    "broken",
+    "broken, message",
     [
-        {"n": 2, "m": 3},
-        {"n": 2, "m": 3, "ops": []},
-        {"n": 0, "m": 3, "ops": [{"rows": 1, "cols": 1, "entries": [[1.0, 0.0]]}]},
-        [1, 2, 3],
+        pytest.param({"n": 2, "m": 3}, "kraus object: missing field 'ops'", id="broken0"),
+        pytest.param({"n": 2, "m": 3, "ops": []},
+                     "field 'ops': expected a nonempty list of matrices", id="broken1"),
+        pytest.param({"n": 0, "m": 3, "ops": ONE_OP},
+                     "field 'n': expected a positive integer", id="broken2"),
+        pytest.param([1, 2, 3], "kraus object: expected a JSON object", id="broken3"),
+        pytest.param({"m": 1, "ops": ONE_OP}, "kraus object: missing field 'n'", id="missing-n"),
+        pytest.param({"n": 1, "ops": ONE_OP}, "kraus object: missing field 'm'", id="missing-m"),
+        pytest.param({"n": True, "m": 1, "ops": ONE_OP},
+                     "field 'n': expected a positive integer", id="n-true"),
+        pytest.param({"n": 1, "m": True, "ops": ONE_OP},
+                     "field 'm': expected a positive integer", id="m-true"),
+        pytest.param({"n": 1, "m": 0, "ops": ONE_OP},
+                     "field 'm': expected a positive integer", id="m-zero"),
     ],
 )
-def test_kraus_json_rejects_malformed(broken):
-    with pytest.raises(ValueError):
+def test_kraus_json_rejects_malformed(broken, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         kraus_from_json(broken)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -301,16 +302,33 @@ def test_matrix_json_round_trip():
     assert np.array_equal(again, mat)
 
 
+ONE = [[1.0, 0.0]]
+
+
 @pytest.mark.parametrize(
-    "broken",
+    "broken, message",
     [
-        {"rows": 2, "cols": 2},
-        {"rows": 0, "cols": 2, "entries": []},
-        {"rows": 1, "cols": 2, "entries": [[0.0, 0.0]]},
-        {"rows": 1, "cols": 1, "entries": [[0.0]]},
-        "not an object",
+        pytest.param({"rows": 2, "cols": 2}, "matrix object: missing field 'entries'",
+                     id="broken0"),
+        pytest.param({"rows": 0, "cols": 2, "entries": []},
+                     "field 'rows': expected a positive integer", id="broken1"),
+        pytest.param({"rows": 1, "cols": 2, "entries": [[0.0, 0.0]]},
+                     "field 'entries': expected 2 [re, im] pairs, got 1", id="broken2"),
+        pytest.param({"rows": 1, "cols": 1, "entries": [[0.0]]},
+                     "field 'entries[0]': expected an [re, im] number pair", id="broken3"),
+        pytest.param("not an object", "matrix object: expected a JSON object", id="not an object"),
+        pytest.param({"cols": 1, "entries": ONE}, "matrix object: missing field 'rows'",
+                     id="missing-rows"),
+        pytest.param({"rows": 1, "entries": ONE}, "matrix object: missing field 'cols'",
+                     id="missing-cols"),
+        pytest.param({"rows": True, "cols": 1, "entries": ONE},
+                     "field 'rows': expected a positive integer", id="rows-true"),
+        pytest.param({"rows": 1, "cols": True, "entries": ONE},
+                     "field 'cols': expected a positive integer", id="cols-true"),
+        pytest.param({"rows": 1, "cols": 0, "entries": ONE},
+                     "field 'cols': expected a positive integer", id="cols-zero"),
     ],
 )
-def test_matrix_json_rejects_malformed(broken):
-    with pytest.raises(ValueError):
+def test_matrix_json_rejects_malformed(broken, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         matrix_from_json(broken)
