@@ -15,142 +15,49 @@ searching for new extreme points by operator Sinkhorn scaling.
 True
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .bipartite import (
-    BipartiteState,
-    PptReport,
-    Violation,
-    check_rank_bound,
-    max_entangled_projector,
-    parthasarathy_bound,
-    partial_trace_a,
-    partial_trace_b,
-    partial_transpose_a,
-    partial_transpose_b,
-    perturbation_freedom_dim,
-    ppt_check,
-    random_separable,
-    state_from_json,
-    state_to_json,
-    state_violations,
-    validate_state,
-)
-from .cpmaps import (
-    ExtremalityReport,
-    KrausMap,
-    apply,
-    choi_extremality,
-    choi_state,
-    choi_vector,
-    doubly_constrained_extremality,
-    dual_apply,
-    extremal_qubit_qutrit_map,
-    kraus_from_json,
-    kraus_from_state,
-    kraus_to_json,
-    marginal_K,
-    marginal_L,
-    mix_ops,
-)
-from .errors import (
-    DimensionMismatch,
-    InfeasibleRank,
-    NoConvergence,
-    NotHermitian,
-    NotPSD,
-    NotUnitary,
-    QMarginalsError,
-    SingularScaling,
-    TraceNotOne,
-)
-from .linalg import (
-    DEFAULT_TOL,
-    HermitianEigen,
-    RankDecision,
-    eigh,
-    eigvalsh,
-    kron,
-    matrix_from_json,
-    matrix_to_json,
-    numerical_rank,
-    rank_of_values,
-    rank_with_margin,
-)
-from .scaling import (
-    ScalingConfig,
-    ScalingReport,
-    find_extremal_candidate,
-    random_kraus,
-    residuals,
-    sinkhorn_scale,
-    uniform_targets,
-)
+#: Each public name and the submodule that defines it.  A name is imported
+#: on first access (PEP 562), so ``import qmarginals`` alone loads neither
+#: the submodules nor numpy.
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("linalg", "DEFAULT_TOL HermitianEigen RankDecision eigh eigvalsh kron "
+                   "matrix_from_json matrix_to_json numerical_rank rank_of_values "
+                   "rank_with_margin"),
+        ("bipartite", "BipartiteState PptReport Violation check_rank_bound "
+                      "max_entangled_projector parthasarathy_bound partial_trace_a "
+                      "partial_trace_b partial_transpose_a partial_transpose_b "
+                      "perturbation_freedom_dim ppt_check random_separable "
+                      "state_from_json state_to_json state_violations validate_state"),
+        ("cpmaps", "ExtremalityReport KrausMap apply choi_extremality choi_state "
+                   "choi_vector doubly_constrained_extremality dual_apply "
+                   "extremal_qubit_qutrit_map kraus_from_json kraus_from_state "
+                   "kraus_to_json marginal_K marginal_L mix_ops"),
+        ("scaling", "ScalingConfig ScalingReport find_extremal_candidate random_kraus "
+                    "residuals sinkhorn_scale uniform_targets"),
+        ("errors", "QMarginalsError DimensionMismatch NotHermitian NotPSD TraceNotOne "
+                   "NotUnitary NoConvergence SingularScaling InfeasibleRank"),
+    )
+    for name in names.split()
+}
+_SUBMODULES = {*_EXPORTS.values(), "cli", "sampling"}
 
-__all__ = [
-    "__version__",
-    # linalg
-    "DEFAULT_TOL",
-    "HermitianEigen",
-    "RankDecision",
-    "eigh",
-    "eigvalsh",
-    "kron",
-    "matrix_from_json",
-    "matrix_to_json",
-    "numerical_rank",
-    "rank_of_values",
-    "rank_with_margin",
-    # bipartite
-    "BipartiteState",
-    "PptReport",
-    "Violation",
-    "check_rank_bound",
-    "max_entangled_projector",
-    "parthasarathy_bound",
-    "partial_trace_a",
-    "partial_trace_b",
-    "partial_transpose_a",
-    "partial_transpose_b",
-    "perturbation_freedom_dim",
-    "ppt_check",
-    "random_separable",
-    "state_from_json",
-    "state_to_json",
-    "state_violations",
-    "validate_state",
-    # cpmaps
-    "ExtremalityReport",
-    "KrausMap",
-    "apply",
-    "choi_extremality",
-    "choi_state",
-    "choi_vector",
-    "doubly_constrained_extremality",
-    "dual_apply",
-    "extremal_qubit_qutrit_map",
-    "kraus_from_json",
-    "kraus_from_state",
-    "kraus_to_json",
-    "marginal_K",
-    "marginal_L",
-    "mix_ops",
-    # scaling
-    "ScalingConfig",
-    "ScalingReport",
-    "find_extremal_candidate",
-    "random_kraus",
-    "residuals",
-    "sinkhorn_scale",
-    "uniform_targets",
-    # errors
-    "QMarginalsError",
-    "DimensionMismatch",
-    "NotHermitian",
-    "NotPSD",
-    "TraceNotOne",
-    "NotUnitary",
-    "NoConvergence",
-    "SingularScaling",
-    "InfeasibleRank",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value  # later lookups, and ``vars(qmarginals)``, find it here
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *_SUBMODULES})

@@ -326,9 +326,13 @@ def state_to_json(state: BipartiteState) -> dict:
     }
 
 
+#: The fields of the state wire object.
+STATE_FIELDS = ("dim_a", "dim_b", "matrix")
+
+
 def _state_fields(obj) -> Tuple[int, int, np.ndarray]:
     """``(dim_a, dim_b, matrix)`` of a state wire object, not yet validated."""
-    dim_a, dim_b, matrix = linalg._wire_fields(obj, "state", ("dim_a", "dim_b", "matrix"))
+    dim_a, dim_b, matrix = linalg._wire_fields(obj, "state", STATE_FIELDS)
     return dim_a, dim_b, linalg.matrix_from_json(matrix)
 
 

@@ -33,6 +33,7 @@ import numpy as np
 
 from . import __version__
 from .bipartite import (
+    STATE_FIELDS,
     BipartiteState,
     _state_fields,
     partial_trace_a,
@@ -216,7 +217,8 @@ def _render_analysis(report: dict) -> str:
 
 def cmd_verify_state(args) -> int:
     obj = _read_json(args.state_file)
-    if isinstance(obj, dict) and "matrix" in obj:
+    # any state field makes the object a state, so a missing one is named
+    if isinstance(obj, dict) and any(field in obj for field in STATE_FIELDS):
         *dims, mat = _state_fields(obj)
     else:
         if args.dims is None:
@@ -478,7 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
+    tol.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL,
+                     help="relative tolerance of every rank, positivity and "
+                     "extremality decision (default: %(default)s)")
     report = argparse.ArgumentParser(add_help=False, parents=[tol])
     report.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -516,7 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-l", default=None, metavar="FILE",
                    help="n x n target for sum V V^dagger (default identity/n)")
     p.add_argument("--max-iter", type=int, default=10000)
-    p.add_argument("--tol", type=_parse_tol, default=1e-10, help="residual tolerance")
+    p.add_argument("--tol", type=_parse_tol, default=1e-10,
+                   help="residual tolerance (default: %(default)s)")
     p.add_argument("--history", type=int, default=0, metavar="N",
                    help="keep only the last N history entries in the output (0 = all)")
     p.add_argument("-o", "--output", default="-",
@@ -556,7 +561,3 @@ def main(argv=None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
-
-
-if __name__ == "__main__":
-    run()

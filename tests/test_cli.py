@@ -586,19 +586,26 @@ def test_verify_state_rejects_json_booleans(tmp_path, capsys, corrupt):
 
 
 @pytest.mark.parametrize(
-    "corrupt",
-    [lambda doc: doc.pop("dim_a"), lambda doc: doc.update(dim_b=0)],
-    ids=["missing-dim_a", "zero-dim_b"],
+    "corrupt, reason",
+    [
+        (lambda doc: doc.pop("dim_a"), "state object: missing field 'dim_a'"),
+        (lambda doc: doc.update(dim_b=0), "field 'dim_b': expected a positive integer"),
+        (lambda doc: doc.update(matrx=doc.pop("matrix")), "state object: missing field 'matrix'"),
+    ],
+    ids=["missing-dim_a", "zero-dim_b", "misspelt-matrix"],
 )
-def test_verify_state_reads_state_objects_like_kraus(tmp_path, capsys, corrupt):
+def test_verify_state_reads_state_objects_like_kraus(tmp_path, capsys, corrupt, reason):
     doc = _state_doc()
     corrupt(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert main(["kraus", str(path)]) == 2
     expected = capsys.readouterr().err
-    assert expected.startswith("error: ") and expected.count("\n") == 1
+    assert expected == f"error: {reason}\n"
     assert main(["verify-state", str(path)]) == 2
+    assert capsys.readouterr().err == expected
+    # --dims splits a bare matrix; it does not turn a broken state into one
+    assert main(["verify-state", str(path), "--dims", "2,3"]) == 2
     assert capsys.readouterr().err == expected
 
 
@@ -631,9 +638,12 @@ def test_state_and_kraus_parsers_reject_json_booleans(tmp_path, capsys, command,
 )
 def test_subcommand_help_lists_its_options(capsys, command, offers_json):
     assert main([command, "--help"]) == 0
-    out = capsys.readouterr().out
+    out = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
     assert out.startswith(f"usage: qmarginals {command} ")
-    assert "--tol" in out
+    if command == "sinkhorn":
+        assert "--tol TOL residual tolerance (default: 1e-10)" in out
+    else:
+        assert "--tol TOL relative tolerance" in out and "(default: 1e-08)" in out
     assert ("--json" in out) == offers_json
 
 
@@ -815,20 +825,88 @@ def test_fuzzed_json_exits_0_1_or_2_with_one_line_errors(case):
 # module entry point
 
 
-def _run_python(*args):
-    """A fresh interpreter with this checkout's package on its path."""
+#: The variables OpenBLAS reads for its thread count.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _run_python(*args, env=None):
+    """A fresh interpreter with this checkout's package on its path; ``env``
+    maps variables to set, or to ``None`` to remove them."""
     src_dir = os.path.dirname(os.path.dirname(qmarginals.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    child_env = dict(os.environ)
+    child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, child_env.get("PYTHONPATH")]))
+    for var, value in (env or {}).items():
+        if value is None:
+            child_env.pop(var, None)
+        else:
+            child_env[var] = value
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *args], capture_output=True, text=True, env=child_env, timeout=120
     )
 
 
 def test_module_entry_point_runs_demo():
-    proc = _run_python("-m", "qmarginals.cli", "demo")
+    proc = _run_python("-m", "qmarginals", "demo")
     assert proc.returncode == 0, proc.stderr
     assert "all checks passed" in proc.stdout
+
+
+def test_package_import_loads_nothing_until_a_name_is_used():
+    probe = (
+        "import sys\n"
+        "import qmarginals as qm\n"
+        "print('numpy' in sys.modules)\n"
+        "layers = [qm.linalg, qm.bipartite, qm.cpmaps, qm.scaling, qm.cli]\n"
+        "print([m.__name__ for m in layers if sys.modules.get(m.__name__) is not m])\n"
+        "print([n for n in qm.__all__ if n not in dir(qm) or not hasattr(qm, n)])\n"
+        "print([n for n in qm.__all__ if n not in vars(qm)])"
+    )
+    proc = _run_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False", "[]", "[]", "[]"]
+
+
+def test_entry_module_defaults_openblas_to_one_thread_before_numpy_loads():
+    # a finder that records the variable when numpy is first looked up
+    probe = (
+        "import os, sys\n"
+        "class Watch:\n"
+        "    seen = 'numpy never imported'\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and 'numpy' not in sys.modules:\n"
+        "            Watch.seen = os.environ.get('OPENBLAS_NUM_THREADS')\n"
+        "sys.meta_path.insert(0, Watch())\n"
+        "import qmarginals.__main__\n"
+        "print(Watch.seen, os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules)"
+    )
+    proc = _run_python("-c", probe, env=dict.fromkeys(THREAD_VARS))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1 1 True"
+
+
+@pytest.mark.parametrize("preset", THREAD_VARS)
+def test_entry_module_keeps_a_chosen_thread_count(preset):
+    probe = (
+        "import json, os\n"
+        "import qmarginals.__main__\n"
+        f"print(json.dumps({{var: os.environ.get(var) for var in {THREAD_VARS!r}}}))"
+    )
+    env = {**dict.fromkeys(THREAD_VARS), preset: "3"}
+    proc = _run_python("-c", probe, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == env
+
+
+def test_cli_import_leaves_the_environment_alone():
+    probe = (
+        "import os\n"
+        "before = dict(os.environ)\n"
+        "from qmarginals import cli\n"
+        "print(dict(os.environ) == before)"
+    )
+    proc = _run_python("-c", probe, env=dict.fromkeys(THREAD_VARS))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
 
 
 def test_import_leaves_numpy_random_unloaded(capsys):
@@ -848,7 +926,7 @@ def test_import_leaves_numpy_random_unloaded(capsys):
     # a seeded family made after the lazy import equals one made in a
     # process that loaded numpy.random up front
     argv = ["sinkhorn", "--n", "2", "--m", "3", "--r", "2", "--seed", "7"]
-    proc = _run_python("-m", "qmarginals.cli", *argv)
+    proc = _run_python("-m", "qmarginals", *argv)
     assert proc.returncode == 0, proc.stderr
     import numpy.random  # noqa: F401
     assert main(argv) == 0
@@ -859,6 +937,8 @@ def test_export_table_names_each_attribute_once():
     names = qmarginals.__all__
     assert len(names) == len(set(names))
     assert [name for name in names if not hasattr(qmarginals, name)] == []
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        qmarginals.no_such_name
 
 
 # ---------------------------------------------------------------------------
