@@ -1,13 +1,12 @@
 """Console entry: ``python -m qmarginals`` and the ``qmarginals`` script.
 
-The CLI's matrices are small (the largest in the benchmarks is 80 x 80),
-below the sizes at which OpenBLAS splits work across threads, yet OpenBLAS
-starts its thread pool when numpy loads and that pool costs CPU time in
-every process.  So unless the user chose a thread count through one of the
-variables OpenBLAS reads, this module asks for one thread.  OpenBLAS reads
-them only once, when numpy loads, which is why the default is set here,
-before ``cli`` (and so numpy) is imported, and not in ``cli``: importing
-the library never changes the environment.
+OpenBLAS starts its thread pool when numpy loads, and that pool costs CPU
+time in every process; on two cores it saved no wall time even for a
+300 x 300 Sinkhorn run (README, Install).  So unless the user chose a
+thread count through one of the variables OpenBLAS reads, this module asks
+for one thread.  OpenBLAS reads them only once, when numpy loads, which is
+why the default is set here, before ``cli`` (and so numpy) is imported,
+and not in ``cli``: importing the library never changes the environment.
 """
 
 import os

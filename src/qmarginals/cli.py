@@ -561,3 +561,10 @@ def main(argv=None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    # the module form is ``python -m qmarginals``, whose entry sets the thread
+    # default; refuse this one rather than exit 0 having run nothing
+    print("error: run python -m qmarginals", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)

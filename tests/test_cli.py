@@ -851,6 +851,13 @@ def test_module_entry_point_runs_demo():
     assert "all checks passed" in proc.stdout
 
 
+def test_old_module_form_is_refused():
+    proc = _run_python("-m", "qmarginals.cli", "demo")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: run python -m qmarginals\n"
+
+
 def test_package_import_loads_nothing_until_a_name_is_used():
     probe = (
         "import sys\n"
