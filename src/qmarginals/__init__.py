@@ -30,13 +30,12 @@ _EXPORTS = {
                    "rank_with_margin"),
         ("bipartite", "BipartiteState PptReport Violation check_rank_bound "
                       "max_entangled_projector parthasarathy_bound partial_trace_a "
-                      "partial_trace_b partial_transpose_a partial_transpose_b "
-                      "perturbation_freedom_dim ppt_check random_separable "
-                      "state_from_json state_to_json state_violations validate_state"),
+                      "partial_trace_b partial_transpose_b perturbation_freedom_dim "
+                      "ppt_check random_separable state_from_json state_to_json "
+                      "state_violations validate_state"),
         ("cpmaps", "ExtremalityReport KrausMap apply choi_extremality choi_state "
-                   "choi_vector doubly_constrained_extremality dual_apply "
-                   "extremal_qubit_qutrit_map kraus_from_json kraus_from_state "
-                   "kraus_to_json marginal_K marginal_L mix_ops"),
+                   "doubly_constrained_extremality dual_apply extremal_qubit_qutrit_map "
+                   "kraus_from_json kraus_from_state kraus_to_json marginal_K marginal_L mix_ops"),
         ("scaling", "ScalingConfig ScalingReport find_extremal_candidate random_kraus "
                     "residuals sinkhorn_scale uniform_targets"),
         ("errors", "QMarginalsError DimensionMismatch NotHermitian NotPSD TraceNotOne "

@@ -4,25 +4,26 @@ A state on an (n*m)-dimensional space is tagged with its factor dimensions
 (dim_a=n, dim_b=m).  The product basis is ordered lexicographically:
 e_i (x) f_k sits at index i*m + k, matching ``linalg.kron``.
 
-Includes the partial traces and partial transposes, the PPT entanglement
-verdict (conclusive only at 2x2 and 2x3), maximally entangled two-qubit
-projectors, the extremality rank bound for fixed-marginal state sets, and a
-representation-free extremality oracle: the kernel dimension of the linear
-map taking a matrix X on the state's range to the two marginals of
-B X B^dagger, B an isometry onto that range (Landau-Streater).
+Includes the partial traces, the partial transpose, the PPT verdict
+(conclusive at 2x2, 2x3 and with a 1-dimensional factor), maximally
+entangled two-qubit projectors, the extremality rank bound for
+fixed-marginal state sets, and a representation-free extremality oracle:
+the kernel dimension of the linear map taking a matrix X on the state's
+range to the two marginals of B X B^dagger, B an isometry onto that range
+(Landau-Streater).
 
-The positivity check and the partial-transpose spectrum read eigenvalues
-only and take them from LAPACK: the partial transpose through
-``linalg.eigvalsh``, the positivity check from the Hermitian part its one
-Hermiticity pass already formed.  The support basis
-behind the extremality oracle and the Kraus recovery reads eigenvectors and
-still comes from the Jacobi ``linalg.eigh``: its top eigenvectors, as many
-as ``linalg.rank_of_values`` counts on the ``eigvalsh`` spectrum, the count
-the rank bound reads.  This module has no cutoff of its own.
+Each state has one spectrum, ``BipartiteState.spectrum``, the LAPACK
+eigenvalues that the positivity check of ``validate_state`` computes: the
+rank bound, the oracle's support and the Kraus recovery read it.  The
+partial-transpose spectrum goes through ``linalg.eigvalsh``.  The support
+basis reads eigenvectors and still comes from the Jacobi ``linalg.eigh``:
+its top eigenvectors, as many as ``linalg.rank_of_values`` counts on the
+spectrum.  This module has no cutoff of its own.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -32,7 +33,7 @@ from .errors import DimensionMismatch, NotHermitian, NotPSD, NotUnitary, TraceNo
 from .linalg import DEFAULT_TOL, as_matrix, dagger, eigh, eigvalsh, frobenius, numerical_rank
 
 #: Factor-dimension pairs where PPT is necessary *and sufficient* for
-#: separability.
+#: separability, besides a 1-dimensional factor (every state a product).
 CONCLUSIVE_DIMS = frozenset({(2, 2), (2, 3), (3, 2)})
 
 VERDICT_SEPARABLE = "separable"
@@ -67,6 +68,15 @@ class BipartiteState:
         mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Ascending ``numpy.linalg.eigvalsh`` of the Hermitian part of ``mat``,
+        read-only and solved at most once: ``validate_state`` hands over the
+        array of its positivity check.  Reading it checks nothing."""
+        values = np.linalg.eigvalsh(linalg._hermitian_split(self.mat)[0])
+        values.setflags(write=False)
+        return values
 
 
 @dataclass(frozen=True)
@@ -112,17 +122,19 @@ class PptReport:
 def state_violations(mat, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) -> List[Violation]:
     """Every density-matrix invariant that ``mat`` violates, in check order
     (dimensions, Hermiticity, positivity, trace).  Empty list means valid.
+    Raises ``ValueError`` if ``||mat||_F`` overflows."""
+    return _checked(as_matrix(mat), dim_a, dim_b, tol)[0]
+
+
+def _checked(
+    mat: np.ndarray, dim_a: int, dim_b: int, tol: float
+) -> Tuple[List[Violation], Optional[BipartiteState]]:
+    """``state_violations`` of a matrix ``as_matrix`` has already converted
+    and, when there are none, the state wrapping it.
 
     One Hermiticity pass (``linalg._hermitian_split``) gives the scale
     ``max(1, ||mat||_F)``, the deviation from Hermitian and the Hermitian
-    part, whose eigenvalues come straight from LAPACK: the same values
-    ``eigvalsh`` would return, without checking the input a second time.
-    Raises ``ValueError`` if ``||mat||_F`` overflows."""
-    return _violations(as_matrix(mat), dim_a, dim_b, tol)
-
-
-def _violations(mat: np.ndarray, dim_a: int, dim_b: int, tol: float) -> List[Violation]:
-    """``state_violations`` of a matrix ``as_matrix`` has already converted."""
+    part, whose LAPACK eigenvalues become the state's ``spectrum``."""
     d = dim_a * dim_b
     if mat.shape != (d, d):
         return [
@@ -131,7 +143,7 @@ def _violations(mat: np.ndarray, dim_a: int, dim_b: int, tol: float) -> List[Vio
                 f"matrix is {mat.shape[0]}x{mat.shape[1]}, expected {d}x{d} "
                 f"for dims ({dim_a}, {dim_b})",
             )
-        ]
+        ], None
     herm, norm, herm_dev = linalg._hermitian_split(mat)
     if not math.isfinite(norm):
         raise ValueError("state_violations: the matrix's Frobenius norm overflows")
@@ -142,7 +154,8 @@ def _violations(mat: np.ndarray, dim_a: int, dim_b: int, tol: float) -> List[Vio
             Violation("not_hermitian", f"Hermiticity deviation {herm_dev:.3e}", herm_dev)
         )
     else:
-        lam_min = float(np.linalg.eigvalsh(herm)[0])
+        spectrum = np.linalg.eigvalsh(herm)
+        lam_min = float(spectrum[0])
         if lam_min < -tol * scale:
             out.append(
                 Violation(
@@ -154,21 +167,25 @@ def _violations(mat: np.ndarray, dim_a: int, dim_b: int, tol: float) -> List[Vio
     trace = complex(np.trace(mat))
     if abs(trace - 1.0) > tol:
         out.append(Violation("trace_not_one", f"trace is {trace.real:.12g}", trace.real))
-    return out
+    if out:
+        return out, None
+    state = BipartiteState(dim_a, dim_b, mat)
+    spectrum.setflags(write=False)
+    object.__setattr__(state, "spectrum", spectrum)  # fills the cached property
+    return out, state
 
 
 def validate_state(mat, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) -> BipartiteState:
     """Check the density-matrix invariants and wrap ``mat`` as a state.
 
-    ``mat`` is converted once (``as_matrix``), and the checks and the state
-    share that array.  Raises the error named by the first violation; the
-    exception's message includes every finding.  Use ``state_violations``
-    for the structured list without the raise.
+    ``mat`` is converted once (``as_matrix``), and the state keeps the
+    spectrum of the positivity check.  Raises the error named by the first
+    violation; the exception's message includes every finding.  Use
+    ``state_violations`` for the structured list without the raise.
     """
-    mat = as_matrix(mat)
-    violations = _violations(mat, dim_a, dim_b, tol)
-    if not violations:
-        return BipartiteState(dim_a, dim_b, mat)
+    violations, state = _checked(as_matrix(mat), dim_a, dim_b, tol)
+    if state is not None:
+        return state
     summary = "; ".join(v.message for v in violations)
     first = violations[0]
     if first.kind == "dimension":
@@ -203,21 +220,12 @@ def partial_transpose_b(state: BipartiteState) -> np.ndarray:
     return np.ascontiguousarray(blocks.transpose(0, 3, 2, 1).reshape(d, d))
 
 
-def partial_transpose_a(state: BipartiteState) -> np.ndarray:
-    """Transpose the first factor.  The spectrum agrees with the
-    second-factor variant (the two differ by a full transpose); exposed for
-    symmetry checks."""
-    blocks = _blocks(state.mat, state.dim_a, state.dim_b)
-    d = state.dim_a * state.dim_b
-    return np.ascontiguousarray(blocks.transpose(2, 1, 0, 3).reshape(d, d))
-
-
 def ppt_check(state: BipartiteState, tol: float = DEFAULT_TOL) -> PptReport:
     """Spectrum test of the partial transpose.
 
     A negative eigenvalue certifies entanglement in any dimension.  A
-    positive partial transpose certifies separability only for 2x2 and 2x3
-    factors; anywhere else the verdict stays "inconclusive".
+    positive partial transpose certifies separability at 2x2, 2x3 and with
+    a 1-dimensional factor; anywhere else the verdict stays "inconclusive".
     """
     pt = partial_transpose_b(state)
     spectrum = eigvalsh(pt, tol)
@@ -226,7 +234,7 @@ def ppt_check(state: BipartiteState, tol: float = DEFAULT_TOL) -> PptReport:
     is_ppt = lam_min >= threshold
     if not is_ppt:
         verdict = VERDICT_ENTANGLED
-    elif (state.dim_a, state.dim_b) in CONCLUSIVE_DIMS:
+    elif min(state.dim_a, state.dim_b) == 1 or (state.dim_a, state.dim_b) in CONCLUSIVE_DIMS:
         verdict = VERDICT_SEPARABLE
     else:
         verdict = VERDICT_INCONCLUSIVE
@@ -258,17 +266,18 @@ def parthasarathy_bound(dim_a: int, dim_b: int) -> int:
 def check_rank_bound(state: BipartiteState, tol: float = DEFAULT_TOL) -> bool:
     """Whether the rank of the state's spectrum (``rank_of_values``) respects
     ``parthasarathy_bound``; a violation rules out extremality outright."""
-    rank = linalg.rank_of_values(eigvalsh(state.mat, tol), tol).rank
+    rank = linalg.rank_of_values(state.spectrum, tol).rank
     return rank <= parthasarathy_bound(state.dim_a, state.dim_b)
 
 
 def _support(state: BipartiteState, tol: float) -> Tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of ``state`` on its support:
-    the top ``rank_of_values`` values of its ``eigvalsh`` spectrum, the count
-    ``check_rank_bound`` reads, with the matching top columns of ``eigh``."""
-    values = eigvalsh(state.mat, tol)
-    start = len(values) - linalg.rank_of_values(values, tol).rank
-    return values[start:], eigh(state.mat, tol).eigenvectors[:, start:]
+    the top ``rank_of_values`` values of ``state.spectrum``, the count
+    ``check_rank_bound`` reads, with the matching top columns of ``eigh``,
+    whose input contract checks ``state.mat`` at ``tol``."""
+    vectors = eigh(state.mat, tol).eigenvectors
+    start = len(state.spectrum) - linalg.rank_of_values(state.spectrum, tol).rank
+    return state.spectrum[start:], vectors[:, start:]
 
 
 def perturbation_freedom_dim(state: BipartiteState, tol: float = DEFAULT_TOL) -> int:

@@ -4,9 +4,9 @@ Subcommands wire the library together around JSON files:
 
 * ``verify-state``   - density-matrix validity plus the full marginal /
   rank / PPT / extremality report for a state file.  The reported
-  spectrum, the rank and its margin (the smallest retained and largest
-  discarded squared eigenvalues) come from one ``eigvalsh`` through
-  ``linalg.rank_of_values``, the rule and spectrum the oracle reads too.
+  spectrum is the validity check's ``state.spectrum``; the rank and its
+  margin (smallest retained, largest discarded squared eigenvalue) come from
+  it through ``linalg.rank_of_values``, as the oracle's support does.
 * ``choi`` / ``kraus`` - convert between Kraus families and composite
   states (inverse directions of the same correspondence).
 * ``extremal-check`` - both linear-independence criteria and the
@@ -35,6 +35,7 @@ from . import __version__
 from .bipartite import (
     STATE_FIELDS,
     BipartiteState,
+    _checked,
     _state_fields,
     partial_trace_a,
     partial_trace_b,
@@ -43,7 +44,6 @@ from .bipartite import (
     ppt_check,
     state_from_json,
     state_to_json,
-    state_violations,
 )
 from .cpmaps import (
     KrausMap,
@@ -61,7 +61,6 @@ from .cpmaps import (
 from .errors import DimensionMismatch, NoConvergence, QMarginalsError
 from .linalg import (
     DEFAULT_TOL,
-    eigvalsh,
     frobenius,
     matrix_from_json,
     matrix_to_json,
@@ -153,14 +152,13 @@ def _check_family_reproduces(kmap: KrausMap, state: BipartiteState, tol: float) 
 
 
 def _analyze_state(state: BipartiteState, tol: float, kmap: Optional[KrausMap]) -> dict:
-    spectrum = eigvalsh(state.mat, tol)
-    decision = rank_of_values(spectrum, tol)
+    decision = rank_of_values(state.spectrum, tol)
     bound = parthasarathy_bound(state.dim_a, state.dim_b)
     freedom = perturbation_freedom_dim(state, tol)
     report = {
         "marginal_a": matrix_to_json(partial_trace_b(state)),
         "marginal_b": matrix_to_json(partial_trace_a(state)),
-        "eigenvalues": [float(x) for x in spectrum],
+        "eigenvalues": [float(x) for x in state.spectrum],
         "rank": decision.rank,
         "rank_margin": {
             "smallest_retained": decision.smallest_retained,
@@ -234,7 +232,7 @@ def cmd_verify_state(args) -> int:
             f"Kraus family is {kmap.n} x {kmap.m} but the state is on "
             f"{dims[0]} x {dims[1]} factors"
         )
-    violations = state_violations(mat, dims[0], dims[1], args.tol)
+    violations, state = _checked(mat, dims[0], dims[1], args.tol)
     report = {
         "tolerance": args.tol,
         "dim_a": dims[0],
@@ -242,8 +240,7 @@ def cmd_verify_state(args) -> int:
         "valid": not violations,
         "violations": [v.to_json() for v in violations],
     }
-    if not violations:
-        state = BipartiteState(dims[0], dims[1], mat)
+    if state is not None:
         if kmap is not None:
             _check_family_reproduces(kmap, state, args.tol)
         report.update(_analyze_state(state, args.tol, kmap))
@@ -397,13 +394,12 @@ def cmd_demo(args) -> int:
     check("state marginal on A is identity/2", dev_ma <= 1e-12, f"max deviation {dev_ma:.3e}")
     check("state marginal on B is identity/3", dev_mb <= 1e-12, f"max deviation {dev_mb:.3e}")
 
-    spectrum = eigvalsh(state.mat, args.tol)
     expected_spec = np.array([0.0, 0.0, 0.0, 0.0, 0.5, 0.5])
-    dev_spec = float(np.abs(spectrum - expected_spec).max())
+    dev_spec = float(np.abs(state.spectrum - expected_spec).max())
     check("eigenvalues are (0, 0, 0, 0, 1/2, 1/2)", dev_spec <= 1e-12,
-          f"spectrum {np.array2string(spectrum, precision=6)}")
+          f"spectrum {np.array2string(state.spectrum, precision=6)}")
 
-    rank = rank_of_values(spectrum, args.tol).rank
+    rank = rank_of_values(state.spectrum, args.tol).rank
     check("rank is 2", rank == 2, f"rank {rank}")
     bound = parthasarathy_bound(2, 3)
     check("rank respects the extremality bound", rank <= bound, f"{rank} <= {bound}")
@@ -488,7 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-state", parents=[report],
                        help="validate a state file and report its structure")
-    p.add_argument("state_file", help="state JSON (or bare matrix JSON with --dims); - for stdin")
+    p.add_argument("state_file", help="state JSON (or bare matrix JSON with --dims); - for "
+                   "stdin; a matrix whose Frobenius norm exceeds about 1.3e154 is refused")
     p.add_argument("--dims", type=_parse_dims, default=None, metavar="N,M",
                    help="factor dimensions when the input is a bare matrix")
     p.add_argument("--kraus", default=None, metavar="FILE",
@@ -516,9 +513,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True, help="number of operators")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--target-k", default=None, metavar="FILE",
-                   help="m x m target for sum V^dagger V (default identity/m)")
+                   help="m x m target for sum V^dagger V (default identity/m); "
+                   "Frobenius norm at most about 1.3e154")
     p.add_argument("--target-l", default=None, metavar="FILE",
-                   help="n x n target for sum V V^dagger (default identity/n)")
+                   help="n x n target for sum V V^dagger (default identity/n); "
+                   "Frobenius norm at most about 1.3e154")
     p.add_argument("--max-iter", type=int, default=10000)
     p.add_argument("--tol", type=_parse_tol, default=1e-10,
                    help="residual tolerance (default: %(default)s)")

@@ -141,13 +141,6 @@ def marginal_L(kmap: KrausMap) -> np.ndarray:
     return dual_apply(kmap, np.eye(kmap.m))
 
 
-def choi_vector(op: np.ndarray) -> np.ndarray:
-    """Vectorization pairing an operator V with the composite vector w such
-    that the composite state of {V_l} is sum_l |w_l><w_l|: row-major
-    flattening of the entrywise conjugate."""
-    return np.conj(as_matrix(op)).ravel()
-
-
 def _composite_matrix(ops: np.ndarray) -> np.ndarray:
     """sum_l |w_l><w_l| over the Choi vectors w_l of ``ops``, the already
     validated ``(r, n, m)`` array of a ``KrausMap``: its operators

@@ -4,16 +4,16 @@ Everything downstream works with 2-D ``numpy.ndarray`` values of dtype
 complex128.  Numerical ranks and their margins come from one rule,
 ``rank_of_values``, on ascending real values: a state's spectrum, or LAPACK
 singular values (``numpy.linalg.svd``) in ``rank_with_margin``.  Questions
-that read eigenvalues only (positivity, the partial-transpose spectrum, a
-reported spectrum) go to LAPACK through ``eigvalsh``
-(``numpy.linalg.eigvalsh``).  Eigenvectors come from ``eigh``,
-a single pure-Python cyclic Jacobi kernel, due to become
-``numpy.linalg.eigh``: every matrix it sees is small (dimension <= 64), it
-is deterministic for a fixed input, and its rotation count is easy to audit.
-Both share one input contract (``_hermitian_part``), built on a
-non-raising core (``_hermitian_split``) that the state validator reads too,
-so a state's Hermiticity is checked once.  ``frobenius`` applies the
-formula of ``numpy.linalg.norm`` without its argument handling.
+that read eigenvalues only go to LAPACK (``numpy.linalg.eigvalsh``): a
+state's once, in its validity check, kept as ``BipartiteState.spectrum``;
+any other matrix, the partial transpose say, through ``eigvalsh``.
+Eigenvectors come from ``eigh``, a single pure-Python cyclic Jacobi kernel,
+due to become ``numpy.linalg.eigh``: every matrix it sees is small
+(dimension <= 64), it is deterministic for a fixed input, and its rotation
+count is easy to audit.  Both share one input contract (``_hermitian_part``),
+built on a non-raising core (``_hermitian_split``) that the state validator
+reads too, so a state's Hermiticity is checked once.  ``frobenius`` applies
+the formula of ``numpy.linalg.norm`` without its argument handling.
 
 All tolerances are relative and flow in as parameters; ``DEFAULT_TOL`` is the
 single documented default.

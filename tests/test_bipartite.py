@@ -27,7 +27,6 @@ from qmarginals import (
     parthasarathy_bound,
     partial_trace_a,
     partial_trace_b,
-    partial_transpose_a,
     partial_transpose_b,
     perturbation_freedom_dim,
     ppt_check,
@@ -180,7 +179,6 @@ def test_partial_transpose_of_product():
     b = sampling.random_density_matrix(rng, 3)
     state = validate_state(kron(a, b), 2, 3)
     assert np.abs(partial_transpose_b(state) - kron(a, b.T)).max() < 1e-14
-    assert np.abs(partial_transpose_a(state) - kron(a.T, b)).max() < 1e-14
 
 
 def test_partial_transpose_is_involution(example_state):
@@ -249,6 +247,16 @@ def test_ppt_never_separable_outside_conclusive_dims():
         report = ppt_check(random_separable(3, 3, 4, seed))
         assert report.is_ppt
         assert report.verdict == "inconclusive"
+
+
+@pytest.mark.parametrize("dims", [(1, 3), (3, 1), (1, 1)])
+def test_ppt_separable_with_a_one_dimensional_factor(dims):
+    # every state on C^1 (x) C^m is 1 (x) rho_B, a product
+    d = dims[0] * dims[1]
+    rho = sampling.random_density_matrix(sampling.generator(5), d)
+    report = ppt_check(validate_state(rho, *dims))
+    assert report.is_ppt
+    assert report.verdict == "separable"
 
 
 # ---------------------------------------------------------------------------

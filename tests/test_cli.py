@@ -23,8 +23,10 @@ from qmarginals import (
     kraus_to_json,
     matrix_to_json,
     mix_ops,
+    perturbation_freedom_dim,
     ppt_check,
     random_kraus,
+    random_separable,
     sinkhorn_scale,
     state_to_json,
     state_violations,
@@ -946,6 +948,83 @@ def test_export_table_names_each_attribute_once():
     assert [name for name in names if not hasattr(qmarginals, name)] == []
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         qmarginals.no_such_name
+
+
+# ---------------------------------------------------------------------------
+# one spectrum per state
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["verify-state", "--json", "STATE"],
+        ["verify-state", "--json", "STATE", "--kraus", "KRAUS"],
+        ["demo", "--json"],
+        ["extremal-check", "--json", "KRAUS"],
+        ["kraus", "STATE"],
+    ],
+    ids=["verify-state", "verify-state-kraus", "demo", "extremal-check", "kraus"],
+)
+def test_each_command_solves_the_state_spectrum_once(
+    monkeypatch, capsys, example_matrix, example_state_file, example_kraus_file, command
+):
+    solve = np.linalg.eigvalsh
+    state_solves = []
+
+    def counting(a, *args, **kwargs):
+        if a.shape == example_matrix.shape and np.abs(a - example_matrix).max() <= 1e-12:
+            state_solves.append(1)
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    files = {"STATE": example_state_file, "KRAUS": example_kraus_file}
+    assert main([files.get(arg, arg) for arg in command]) == 0
+    capsys.readouterr()
+    assert len(state_solves) == 1
+
+
+def test_verdict_battery_solves_each_state_spectrum_at_most_once(monkeypatch):
+    # the in-process verdict battery: a state made from a Kraus family, and
+    # a state built before the count starts
+    kmap, prebuilt = random_kraus(4, 4, 4, 0), random_separable(2, 3, 6, 0)
+    solve = np.linalg.eigvalsh
+    seen = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args: seen.append(a) or solve(a, *args))
+    made = choi_state(kmap)
+    for state in (made, prebuilt):
+        kraus_from_state(state)
+        check_rank_bound(state)
+        ppt_check(state)
+        perturbation_freedom_dim(state)
+
+    def solves(state):
+        return sum(a.shape == state.mat.shape and np.abs(a - state.mat).max() <= 1e-12 for a in seen)
+
+    assert (solves(made), solves(prebuilt)) == (1, 0)
+
+
+def test_state_spectrum_is_read_only_and_is_the_lapack_spectrum(monkeypatch, example_matrix):
+    state = validate_state(example_matrix, 2, 3)
+    herm = (state.mat + state.mat.conj().T) / 2.0
+    assert np.array_equal(state.spectrum, np.linalg.eigvalsh(herm))
+    assert not state.spectrum.flags.writeable
+    with pytest.raises(AttributeError):
+        state.spectrum = np.zeros(6)
+    # a state built directly solves on its first read, and only then
+    solves = []
+    solve = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(1) or solve(a))
+    direct = qmarginals.BipartiteState(2, 3, example_matrix)
+    assert solves == []
+    assert np.array_equal(direct.spectrum, state.spectrum)
+    assert direct.spectrum is direct.spectrum and solves == [1]
+
+
+def test_verify_state_one_dimensional_factor_is_separable(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(matrix_to_json(np.eye(1))))
+    assert main(["verify-state", "--json", "--dims", "1,1", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["ppt"]["verdict"] == "separable"
 
 
 # ---------------------------------------------------------------------------

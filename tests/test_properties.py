@@ -29,7 +29,6 @@ from qmarginals import (
     KrausMap,
     choi_extremality,
     choi_state,
-    choi_vector,
     doubly_constrained_extremality,
     kraus_from_json,
     kraus_from_state,
@@ -215,8 +214,8 @@ def test_recovered_family_is_a_unitary_mixing(case):
     recovered = kraus_from_state(choi_state(kmap))
     assert recovered.r == r
     # the Choi vectors of mix_ops(kmap, u) are the rows of conj(u) @ w_in
-    w_in = np.array([choi_vector(op) for op in kmap.ops])
-    w_out = np.array([choi_vector(op) for op in recovered.ops])
+    w_in = np.array([np.conj(op).ravel() for op in kmap.ops])
+    w_out = np.array([np.conj(op).ravel() for op in recovered.ops])
     u = np.linalg.lstsq(w_in.T, w_out.T, rcond=None)[0].conj().T
     assert np.abs(u @ u.conj().T - np.eye(r)).max() <= 1e-10
     assert np.abs(np.stack(mix_ops(kmap, u).ops) - np.stack(recovered.ops)).max() <= 1e-10
