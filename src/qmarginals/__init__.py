@@ -19,13 +19,18 @@ import importlib
 
 __version__ = "0.1.0"
 
+#: Relative rank / positivity tolerance used when the caller does not pass
+#: one.  Defined here, without numpy, so the CLI's parser reads it before
+#: any layer loads; ``linalg`` re-exports it.
+DEFAULT_TOL = 1e-8
+
 #: Each public name and the submodule that defines it.  A name is imported
 #: on first access (PEP 562), so ``import qmarginals`` alone loads neither
 #: the submodules nor numpy.
 _EXPORTS = {
     name: module
     for module, names in (
-        ("linalg", "DEFAULT_TOL HermitianEigen RankDecision eigh eigvalsh kron "
+        ("linalg", "HermitianEigen RankDecision eigh eigvalsh kron "
                    "matrix_from_json matrix_to_json numerical_rank rank_of_values "
                    "rank_with_margin"),
         ("bipartite", "BipartiteState PptReport Violation check_rank_bound "
@@ -45,7 +50,7 @@ _EXPORTS = {
 }
 _SUBMODULES = {*_EXPORTS.values(), "cli", "sampling"}
 
-__all__ = ["__version__", *_EXPORTS]
+__all__ = ["__version__", "DEFAULT_TOL", *_EXPORTS]
 
 
 def __getattr__(name):

@@ -22,51 +22,32 @@ for memory included.  "-" stands for
 stdin/stdout.  Reports are deterministic functions of the inputs and flags;
 JSON mode prints doubles round-trip exactly, text mode rounds to 6
 significant digits.
+
+What loads when: importing this module loads the standard library,
+``errors`` and the package root's ``__version__`` and ``DEFAULT_TOL``, and
+no numpy.  Each handler checks its plain arguments, reads and JSON-parses
+its input, and only then imports the layers it uses (``bipartite`` and
+``cpmaps`` for the state and Kraus commands, ``scaling`` for ``sinkhorn``
+only), numpy with them.  So ``--version``, ``--help``, a usage error and an
+unreadable or malformed input file exit without loading numpy.
 """
+
+from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from . import __version__
-from .bipartite import (
-    STATE_FIELDS,
-    BipartiteState,
-    _checked,
-    _state_fields,
-    partial_trace_a,
-    partial_trace_b,
-    parthasarathy_bound,
-    perturbation_freedom_dim,
-    ppt_check,
-    state_from_json,
-    state_to_json,
-)
-from .cpmaps import (
-    KrausMap,
-    _composite_matrix,
-    choi_extremality,
-    choi_state,
-    doubly_constrained_extremality,
-    extremal_qubit_qutrit_map,
-    kraus_from_json,
-    kraus_from_state,
-    kraus_to_json,
-    marginal_K,
-    marginal_L,
-)
+from . import DEFAULT_TOL, __version__
 from .errors import DimensionMismatch, NoConvergence, QMarginalsError
-from .linalg import (
-    DEFAULT_TOL,
-    frobenius,
-    matrix_from_json,
-    matrix_to_json,
-    rank_of_values,
-)
-from .scaling import ScalingConfig, random_kraus, sinkhorn_scale
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .bipartite import BipartiteState
+    from .cpmaps import KrausMap
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -108,11 +89,20 @@ def _emit(report: dict, as_json: bool, render) -> None:
 
 def _load_target(path: Optional[str], dim: int) -> np.ndarray:
     """A target marginal from a matrix file; identity/dim without one."""
-    return matrix_from_json(_read_json(path)) if path else np.eye(dim, dtype=np.complex128) / dim
+    if path:
+        obj = _read_json(path)
+        from .linalg import matrix_from_json
+
+        return matrix_from_json(obj)
+    import numpy as np
+
+    return np.eye(dim, dtype=np.complex128) / dim
 
 
 def _load_kraus(path: str) -> KrausMap:
     obj = _read_json(path)
+    from .cpmaps import kraus_from_json
+
     if isinstance(obj, dict) and "kraus" in obj:
         obj = obj["kraus"]  # accept sinkhorn output documents directly
     return kraus_from_json(obj)
@@ -128,7 +118,7 @@ def _fmt_margin(x: Optional[float]) -> str:
 
 def _fmt_matrix(mat: np.ndarray, indent: str = "  ") -> str:
     lines = []
-    for row in np.atleast_2d(mat):
+    for row in mat:
         cells = [f"{z.real:.6g}{z.imag:+.6g}i" for z in row]
         lines.append(indent + "[ " + "  ".join(cells) + " ]")
     return "\n".join(lines)
@@ -141,6 +131,11 @@ def _fmt_matrix(mat: np.ndarray, indent: str = "  ") -> str:
 def _check_family_reproduces(kmap: KrausMap, state: BipartiteState, tol: float) -> None:
     """Refuse a Kraus family whose composite state differs from ``state`` by
     more than ``tol * max(1, ||state||_F)`` in the Frobenius norm."""
+    import numpy as np
+
+    from .cpmaps import _composite_matrix
+    from .linalg import frobenius
+
     with np.errstate(over="ignore"):  # an overflow is a deviation of inf, refused below
         deviation = frobenius(_composite_matrix(kmap.ops) - state.mat)
     limit = tol * max(1.0, frobenius(state.mat))
@@ -152,6 +147,16 @@ def _check_family_reproduces(kmap: KrausMap, state: BipartiteState, tol: float) 
 
 
 def _analyze_state(state: BipartiteState, tol: float, kmap: Optional[KrausMap]) -> dict:
+    from .bipartite import (
+        parthasarathy_bound,
+        partial_trace_a,
+        partial_trace_b,
+        perturbation_freedom_dim,
+        ppt_check,
+    )
+    from .cpmaps import doubly_constrained_extremality
+    from .linalg import matrix_to_json, rank_of_values
+
     decision = rank_of_values(state.spectrum, tol)
     bound = parthasarathy_bound(state.dim_a, state.dim_b)
     freedom = perturbation_freedom_dim(state, tol)
@@ -175,6 +180,8 @@ def _analyze_state(state: BipartiteState, tol: float, kmap: Optional[KrausMap]) 
 
 
 def _render_analysis(report: dict) -> str:
+    from .linalg import matrix_from_json
+
     lines = []
     ma = matrix_from_json(report["marginal_a"])
     mb = matrix_from_json(report["marginal_b"])
@@ -215,6 +222,9 @@ def _render_analysis(report: dict) -> str:
 
 def cmd_verify_state(args) -> int:
     obj = _read_json(args.state_file)
+    from .bipartite import STATE_FIELDS, _checked, _state_fields
+    from .linalg import matrix_from_json
+
     # any state field makes the object a state, so a missing one is named
     if isinstance(obj, dict) and any(field in obj for field in STATE_FIELDS):
         *dims, mat = _state_fields(obj)
@@ -266,13 +276,20 @@ def cmd_verify_state(args) -> int:
 
 def cmd_choi(args) -> int:
     kmap = _load_kraus(args.kraus_file)
+    from .bipartite import state_to_json
+    from .cpmaps import choi_state
+
     state = choi_state(kmap, args.tol)
     _write_text(args.output, json.dumps(state_to_json(state), indent=2))
     return EXIT_OK
 
 
 def cmd_kraus(args) -> int:
-    state = state_from_json(_read_json(args.state_file), args.tol)
+    obj = _read_json(args.state_file)
+    from .bipartite import state_from_json
+    from .cpmaps import kraus_from_state, kraus_to_json
+
+    state = state_from_json(obj, args.tol)
     kmap = kraus_from_state(state, args.tol)
     _write_text(args.output, json.dumps(kraus_to_json(kmap), indent=2))
     return EXIT_OK
@@ -284,6 +301,9 @@ def cmd_kraus(args) -> int:
 
 def cmd_extremal_check(args) -> int:
     kmap = _load_kraus(args.kraus_file)
+    from .bipartite import perturbation_freedom_dim
+    from .cpmaps import choi_extremality, choi_state, doubly_constrained_extremality
+
     single = choi_extremality(kmap, args.tol)
     double = doubly_constrained_extremality(kmap, args.tol)
     state = choi_state(kmap, args.tol)
@@ -332,6 +352,9 @@ def cmd_sinkhorn(args) -> int:
         raise ValueError("--seed must be 0 or more")
     target_k = _load_target(args.target_k, args.m)
     target_l = _load_target(args.target_l, args.n)
+    from .cpmaps import kraus_to_json
+    from .scaling import ScalingConfig, random_kraus, sinkhorn_scale
+
     config = ScalingConfig(target_k, target_l, max_iter=args.max_iter, residual_tol=args.tol)
     start = random_kraus(args.n, args.m, args.r, args.seed)
 
@@ -368,6 +391,26 @@ def cmd_sinkhorn(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    import numpy as np
+
+    from .bipartite import (
+        parthasarathy_bound,
+        partial_trace_a,
+        partial_trace_b,
+        perturbation_freedom_dim,
+        ppt_check,
+        state_to_json,
+    )
+    from .cpmaps import (
+        choi_extremality,
+        choi_state,
+        doubly_constrained_extremality,
+        extremal_qubit_qutrit_map,
+        marginal_K,
+        marginal_L,
+    )
+    from .linalg import rank_of_values
+
     checks = []
 
     def check(name: str, passed: bool, detail: str) -> None:
@@ -462,7 +505,7 @@ def _parse_tol(text: str) -> float:
         tol = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}") from exc
-    if not (np.isfinite(tol) and tol > 0.0):
+    if not (math.isfinite(tol) and tol > 0.0):
         raise argparse.ArgumentTypeError(f"tolerance must be finite and positive, got {text}")
     return tol
 

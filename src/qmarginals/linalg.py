@@ -16,7 +16,8 @@ reads too, so a state's Hermiticity is checked once.  ``frobenius`` applies
 the formula of ``numpy.linalg.norm`` without its argument handling.
 
 All tolerances are relative and flow in as parameters; ``DEFAULT_TOL`` is the
-single documented default.
+single documented default.  It is defined in the package root, where the CLI
+reads it without numpy, and re-exported here.
 """
 
 import math
@@ -24,10 +25,8 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from . import DEFAULT_TOL
 from .errors import DimensionMismatch, NoConvergence, NotHermitian
-
-#: Relative rank / positivity tolerance used when the caller does not pass one.
-DEFAULT_TOL = 1e-8
 
 #: Sweep budget and relative off-diagonal termination threshold for Jacobi.
 JACOBI_MAX_SWEEPS = 100

@@ -43,6 +43,7 @@ a search over one shape diagonalises its targets once, not per candidate.
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -154,7 +155,15 @@ class ScalingReport:
             return None
         worst = self.history[-10:].max(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return float(np.median(worst[1:] / worst[:-1]))
+            ratios = np.sort(worst[1:] / worst[:-1])
+        # np.median's answer, without the numpy.ma import it costs: a NaN
+        # (0/0) sorts last and makes the median NaN
+        if math.isnan(ratios[-1]):
+            return float(ratios[-1])
+        half = len(ratios) // 2
+        if len(ratios) % 2:
+            return float(ratios[half])
+        return (float(ratios[half - 1]) + float(ratios[half])) / 2
 
     def to_json(self, max_history: int = 0) -> dict:
         """JSON form; ``max_history`` > 0 keeps only the last that many

@@ -496,7 +496,8 @@ def test_out_of_memory_is_one_line_usage_error(monkeypatch, capsys, message):
     def refuse(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr("qmarginals.cli.ScalingConfig", refuse)
+    # the handler imports ScalingConfig from its defining module when it runs
+    monkeypatch.setattr("qmarginals.scaling.ScalingConfig", refuse)
     assert main(["sinkhorn", "--n", "2", "--m", "3", "--r", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
@@ -831,9 +832,10 @@ def test_fuzzed_json_exits_0_1_or_2_with_one_line_errors(case):
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _run_python(*args, env=None):
+def _run_python(*args, env=None, **run_args):
     """A fresh interpreter with this checkout's package on its path; ``env``
-    maps variables to set, or to ``None`` to remove them."""
+    maps variables to set, or to ``None`` to remove them; ``run_args`` go
+    to ``subprocess.run``."""
     src_dir = os.path.dirname(os.path.dirname(qmarginals.__file__))
     child_env = dict(os.environ)
     child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, child_env.get("PYTHONPATH")]))
@@ -843,7 +845,8 @@ def _run_python(*args, env=None):
         else:
             child_env[var] = value
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=child_env, timeout=120
+        [sys.executable, *args], capture_output=True, text=True, env=child_env, timeout=120,
+        **run_args,
     )
 
 
@@ -876,7 +879,9 @@ def test_package_import_loads_nothing_until_a_name_is_used():
 
 
 def test_entry_module_defaults_openblas_to_one_thread_before_numpy_loads():
-    # a finder that records the variable when numpy is first looked up
+    # a finder that records the variable when numpy is first looked up; the
+    # entry module loads no numpy itself, so a command is driven through
+    # ``run()`` and its report goes to stderr
     probe = (
         "import os, sys\n"
         "class Watch:\n"
@@ -885,12 +890,19 @@ def test_entry_module_defaults_openblas_to_one_thread_before_numpy_loads():
         "        if name == 'numpy' and 'numpy' not in sys.modules:\n"
         "            Watch.seen = os.environ.get('OPENBLAS_NUM_THREADS')\n"
         "sys.meta_path.insert(0, Watch())\n"
-        "import qmarginals.__main__\n"
-        "print(Watch.seen, os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules)"
+        "from qmarginals.__main__ import run\n"
+        "sys.argv = ['qmarginals', 'demo', '--json']\n"
+        "try:\n"
+        "    run()\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(Watch.seen, os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules, code,\n"
+        "      file=sys.stderr)"
     )
     proc = _run_python("-c", probe, env=dict.fromkeys(THREAD_VARS))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "1 1 True"
+    assert json.loads(proc.stdout)["all_passed"] is True
+    assert proc.stderr.strip() == "1 1 True 0"
 
 
 @pytest.mark.parametrize("preset", THREAD_VARS)
@@ -940,6 +952,75 @@ def test_import_leaves_numpy_random_unloaded(capsys):
     import numpy.random  # noqa: F401
     assert main(argv) == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+#: A state file cut short, as the benchmark's malformed input is.
+MALFORMED = '{"dim_a": 2, "dim_b": 3, "matrix": {"rows": 6,'
+MALFORMED_ERROR = "error: JSON parse failure at byte offset 46: Expecting property name enclosed in double quotes\n"
+
+
+def _run_entry(tmp_path, argv, stdin=None):
+    """The console entry, ``__main__.run``, in a fresh interpreter: exit
+    code, stdout, stderr, and whether numpy was in ``sys.modules`` at exit
+    (written to a file, so the command's own output is left as it is)."""
+    marker = tmp_path / "loaded.json"
+    probe = (
+        "import json, sys\n"
+        "from qmarginals.__main__ import run\n"
+        f"sys.argv = ['qmarginals', *{list(argv)!r}]\n"
+        "try:\n"
+        "    run()\n"
+        "finally:\n"
+        f"    open({str(marker)!r}, 'w').write(json.dumps(['numpy' in sys.modules, 'numpy.ma' in sys.modules]))"
+    )
+    proc = _run_python("-c", probe, input=stdin, cwd=tmp_path)
+    numpy_loaded, ma_loaded = json.loads(marker.read_text())
+    return proc, numpy_loaded, ma_loaded
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, code, stdout, stderr",
+    [
+        (["--version"], None, 0, f"qmarginals {qmarginals.__version__}\n", ""),
+        (["--help"], None, 0, "usage: qmarginals [-h] [--version]", ""),
+        (["frobnicate"], None, 2, "", "qmarginals: error: argument command: invalid choice: 'frobnicate'"),
+        (["verify-state", "--tol", "nan", "state.json"], None, 2, "",
+         "\nqmarginals verify-state: error: argument --tol: tolerance must be finite and positive, got nan"),
+        (["verify-state", "--json", "missing.json"], None, 2, "",
+         "error: [Errno 2] No such file or directory: 'missing.json'\n"),
+        (["verify-state", "--json", "malformed.json"], None, 2, "", MALFORMED_ERROR),
+        (["verify-state", "--json", "-"], MALFORMED, 2, "", MALFORMED_ERROR),
+        (["sinkhorn", "--n", "2", "--m", "3", "--r", "0"], None, 2, "", "error: --r must be at least 1\n"),
+    ],
+    ids=["version", "help", "unknown-command", "tol-nan", "missing-file", "malformed-file",
+         "malformed-stdin", "sinkhorn-r0"],
+)
+def test_commands_that_exit_before_computing_never_load_numpy(
+    tmp_path, argv, stdin, code, stdout, stderr
+):
+    # an expected text that ends a line (or is empty) is the whole stream;
+    # one that does not is a part of it: argparse prints usage before its
+    # error and words the choices per Python version
+    def matches(text, expected):
+        return text == expected if expected == "" or expected.endswith("\n") else expected in text
+
+    (tmp_path / "malformed.json").write_text(MALFORMED)
+    proc, numpy_loaded, _ = _run_entry(tmp_path, argv, stdin)
+    assert proc.returncode == code
+    assert matches(proc.stdout, stdout) and matches(proc.stderr, stderr)
+    assert not numpy_loaded
+
+
+def test_a_computing_command_loads_numpy_and_a_scaling_run_not_numpy_ma(tmp_path):
+    proc, numpy_loaded, _ = _run_entry(tmp_path, ["demo", "--json"])
+    assert proc.returncode == 0 and json.loads(proc.stdout)["all_passed"] is True
+    assert numpy_loaded
+    # the contraction rate is a median taken without np.median, which
+    # imports numpy.ma
+    proc, numpy_loaded, ma_loaded = _run_entry(tmp_path, ["sinkhorn", "--n", "2", "--m", "3", "--r", "2"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["report"]["contraction_rate"] is not None
+    assert numpy_loaded and not ma_loaded
 
 
 def test_export_table_names_each_attribute_once():
@@ -1034,7 +1115,7 @@ def test_verify_state_one_dimensional_factor_is_separable(tmp_path, capsys):
 def test_eigenvalue_only_paths_never_reach_jacobi(
     monkeypatch, capsys, example_map, example_matrix, example_state_file
 ):
-    from qmarginals import bipartite, cli, linalg
+    from qmarginals import bipartite, linalg
 
     state = validate_state(example_matrix, 2, 3)
     freedom = bipartite.perturbation_freedom_dim(state)
@@ -1056,7 +1137,8 @@ def test_eigenvalue_only_paths_never_reach_jacobi(
         assert np.abs(seen.mat - state.mat).max() <= 1e-14
         return freedom
 
-    monkeypatch.setattr(cli, "perturbation_freedom_dim", known_freedom)
+    # the commands import the oracle from ``bipartite`` when they run
+    monkeypatch.setattr(bipartite, "perturbation_freedom_dim", known_freedom)
     assert main(["verify-state", "--json", example_state_file]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["valid"] and report["ppt"]["verdict"] == "entangled"

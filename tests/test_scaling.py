@@ -360,6 +360,61 @@ def test_contraction_rate_of_geometric_history(rate):
     assert report.to_json(max_history=2)["contraction_rate"] == report.contraction_rate
 
 
+@st.composite
+def residual_histories(draw):
+    """(rows, 2) residual histories of 3 to 12 rows, so the last (at most)
+    ten give odd and even ratio counts; some rows are zero, so 0/0 and x/0
+    ratios occur, and some runs stall, so ratios are exactly 1."""
+    rows = draw(st.integers(3, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    history = rng.random((rows, 2)) * 10.0 ** rng.integers(-20, 3, size=(rows, 1))
+    for row in draw(st.lists(st.integers(0, rows - 1), max_size=3)):
+        history[row] = 0.0
+    for row in draw(st.lists(st.integers(1, rows - 1), max_size=4)):
+        history[row] = history[row - 1]
+    if draw(st.booleans()):
+        history[draw(st.integers(0, rows - 2)):] = history[-1]
+    return history
+
+
+def _median_of_ratios(history):
+    """What the report's rate was before: np.median of the last (at most)
+    nine ratios of successive worst residuals."""
+    worst = np.asarray(history)[-10:].max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.median(worst[1:] / worst[:-1]))
+
+
+def _same_float(a, b):
+    """Equal bit for bit, or both NaN."""
+    return (np.isnan(a) and np.isnan(b)) or np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(residual_histories())
+def test_contraction_rate_is_numpy_median_bit_for_bit(history):
+    report = ScalingReport(len(history) - 1, 0.0, 0.0, False, history)
+    assert _same_float(report.contraction_rate, _median_of_ratios(history))
+
+
+@pytest.mark.parametrize(
+    "worst, rate",
+    [
+        ([1.0, 0.5, 0.1], (0.5 + 0.2) / 2),  # even count: mean of the middle two
+        ([1.0, 0.5, 0.25, 0.2], 0.5),  # odd count
+        ([1.0, 0.0, 0.0], float("nan")),  # 0/0
+        ([0.3] * 5, 1.0),  # stalled
+        ([1.0, 0.0, 2.0], float("inf")),  # 0/1 and 2/0
+    ],
+    ids=["even", "odd", "zero-over-zero", "stalled", "zero-then-growth"],
+)
+def test_contraction_rate_edge_histories(worst, rate):
+    history = np.stack([worst, np.divide(worst, 3.0)], axis=1)
+    report = ScalingReport(len(history) - 1, 0.0, 0.0, False, history)
+    assert _same_float(report.contraction_rate, rate)
+    assert _same_float(_median_of_ratios(history), rate)
+
+
 def test_contraction_rate_needs_two_iterations():
     assert ScalingReport(0, 0.0, 0.0, True).contraction_rate is None
     assert ScalingReport(1, 0.1, 0.1, False, _geometric_history(1.0, 0.5, 2)).contraction_rate is None
