@@ -29,7 +29,9 @@ no numpy.  Each handler checks its plain arguments, reads and JSON-parses
 its input, and only then imports the layers it uses (``bipartite`` and
 ``cpmaps`` for the state and Kraus commands, ``scaling`` for ``sinkhorn``
 only), numpy with them.  So ``--version``, ``--help``, a usage error and an
-unreadable or malformed input file exit without loading numpy.
+unreadable or malformed input exit without loading numpy.  A second input
+file (``--kraus``, ``--target-l``) is read after the first is parsed, as
+before, so a doubly bad input reports the same error.
 """
 
 from __future__ import annotations
