@@ -23,15 +23,12 @@ stdin/stdout.  Reports are deterministic functions of the inputs and flags;
 JSON mode prints doubles round-trip exactly, text mode rounds to 6
 significant digits.
 
-What loads when: importing this module loads the standard library,
-``errors`` and the package root's ``__version__`` and ``DEFAULT_TOL``, and
-no numpy.  Each handler checks its plain arguments, reads and JSON-parses
-its input, and only then imports the layers it uses (``bipartite`` and
-``cpmaps`` for the state and Kraus commands, ``scaling`` for ``sinkhorn``
-only), numpy with them.  So ``--version``, ``--help``, a usage error and an
+What loads when: a layer, and numpy with it, loads at the CLI's first use
+of one of its names (``qm.bipartite.ppt_check``), through the package's
+export table, and each handler checks its plain arguments and reads its
+input before that.  So ``--version``, ``--help``, a usage error and an
 unreadable or malformed input exit without loading numpy.  A second input
-file (``--kraus``, ``--target-l``) is read after the first is parsed, as
-before, so a doubly bad input reports the same error.
+file (``--kraus``, ``--target-l``) is read after the first is parsed.
 """
 
 from __future__ import annotations
@@ -40,16 +37,11 @@ import argparse
 import json
 import math
 import sys
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-from . import DEFAULT_TOL, __version__
+import qmarginals as qm
+
 from .errors import DimensionMismatch, NoConvergence, QMarginalsError
-
-if TYPE_CHECKING:
-    import numpy as np
-
-    from .bipartite import BipartiteState
-    from .cpmaps import KrausMap
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -89,25 +81,20 @@ def _emit(report: dict, as_json: bool, render) -> None:
         print(render(report))
 
 
-def _load_target(path: Optional[str], dim: int) -> np.ndarray:
+def _load_target(path: Optional[str], dim: int):
     """A target marginal from a matrix file; identity/dim without one."""
     if path:
-        obj = _read_json(path)
-        from .linalg import matrix_from_json
-
-        return matrix_from_json(obj)
+        return qm.linalg.matrix_from_json(_read_json(path))
     import numpy as np
 
     return np.eye(dim, dtype=np.complex128) / dim
 
 
-def _load_kraus(path: str) -> KrausMap:
+def _load_kraus(path: str) -> qm.cpmaps.KrausMap:
     obj = _read_json(path)
-    from .cpmaps import kraus_from_json
-
     if isinstance(obj, dict) and "kraus" in obj:
         obj = obj["kraus"]  # accept sinkhorn output documents directly
-    return kraus_from_json(obj)
+    return qm.cpmaps.kraus_from_json(obj)
 
 
 def _fmt(x: float) -> str:
@@ -118,7 +105,7 @@ def _fmt_margin(x: Optional[float]) -> str:
     return "none" if x is None else f"{x:.2g}"
 
 
-def _fmt_matrix(mat: np.ndarray, indent: str = "  ") -> str:
+def _fmt_matrix(mat, indent: str = "  ") -> str:
     lines = []
     for row in mat:
         cells = [f"{z.real:.6g}{z.imag:+.6g}i" for z in row]
@@ -130,17 +117,16 @@ def _fmt_matrix(mat: np.ndarray, indent: str = "  ") -> str:
 # verify-state
 
 
-def _check_family_reproduces(kmap: KrausMap, state: BipartiteState, tol: float) -> None:
+def _check_family_reproduces(
+    kmap: qm.cpmaps.KrausMap, state: qm.bipartite.BipartiteState, tol: float
+) -> None:
     """Refuse a Kraus family whose composite state differs from ``state`` by
     more than ``tol * max(1, ||state||_F)`` in the Frobenius norm."""
     import numpy as np
 
-    from .cpmaps import _composite_matrix
-    from .linalg import frobenius
-
     with np.errstate(over="ignore"):  # an overflow is a deviation of inf, refused below
-        deviation = frobenius(_composite_matrix(kmap.ops) - state.mat)
-    limit = tol * max(1.0, frobenius(state.mat))
+        deviation = qm.linalg.frobenius(qm.cpmaps._composite_matrix(kmap.ops) - state.mat)
+    limit = tol * max(1.0, qm.linalg.frobenius(state.mat))
     if deviation > limit:
         raise ValueError(
             f"Kraus family does not reproduce the state: its composite state "
@@ -148,23 +134,17 @@ def _check_family_reproduces(kmap: KrausMap, state: BipartiteState, tol: float) 
         )
 
 
-def _analyze_state(state: BipartiteState, tol: float, kmap: Optional[KrausMap]) -> dict:
-    from .bipartite import (
-        parthasarathy_bound,
-        partial_trace_a,
-        partial_trace_b,
-        perturbation_freedom_dim,
-        ppt_check,
-    )
-    from .cpmaps import doubly_constrained_extremality
-    from .linalg import matrix_to_json, rank_of_values
-
-    decision = rank_of_values(state.spectrum, tol)
-    bound = parthasarathy_bound(state.dim_a, state.dim_b)
-    freedom = perturbation_freedom_dim(state, tol)
+def _analyze_state(
+    state: qm.bipartite.BipartiteState, tol: float, kmap: Optional[qm.cpmaps.KrausMap]
+) -> dict:
+    """The report ``verify-state`` prints for a valid state, and whose
+    verdicts ``demo`` checks."""
+    decision = qm.linalg.rank_of_values(state.spectrum, tol)
+    bound = qm.bipartite.parthasarathy_bound(state.dim_a, state.dim_b)
+    freedom = qm.bipartite.perturbation_freedom_dim(state, tol)
     report = {
-        "marginal_a": matrix_to_json(partial_trace_b(state)),
-        "marginal_b": matrix_to_json(partial_trace_a(state)),
+        "marginal_a": qm.linalg.matrix_to_json(qm.bipartite.partial_trace_b(state)),
+        "marginal_b": qm.linalg.matrix_to_json(qm.bipartite.partial_trace_a(state)),
         "eigenvalues": [float(x) for x in state.spectrum],
         "rank": decision.rank,
         "rank_margin": {
@@ -172,21 +152,19 @@ def _analyze_state(state: BipartiteState, tol: float, kmap: Optional[KrausMap]) 
             "largest_discarded": decision.largest_discarded,
         },
         "rank_bound": {"bound": bound, "within_bound": decision.rank <= bound},
-        "ppt": ppt_check(state, tol).to_json(),
+        "ppt": qm.bipartite.ppt_check(state, tol).to_json(),
         "perturbation_freedom": freedom,
         "extreme_in_marginal_set": freedom == 0,
     }
     if kmap is not None:
-        report["doubly_constrained"] = doubly_constrained_extremality(kmap, tol).to_json()
+        report["doubly_constrained"] = qm.cpmaps.doubly_constrained_extremality(kmap, tol).to_json()
     return report
 
 
 def _render_analysis(report: dict) -> str:
-    from .linalg import matrix_from_json
-
     lines = []
-    ma = matrix_from_json(report["marginal_a"])
-    mb = matrix_from_json(report["marginal_b"])
+    ma = qm.linalg.matrix_from_json(report["marginal_a"])
+    mb = qm.linalg.matrix_from_json(report["marginal_b"])
     lines.append("marginal on factor A:")
     lines.append(_fmt_matrix(ma))
     lines.append("marginal on factor B:")
@@ -224,19 +202,21 @@ def _render_analysis(report: dict) -> str:
 
 def cmd_verify_state(args) -> int:
     obj = _read_json(args.state_file)
-    from .bipartite import STATE_FIELDS, _checked, _state_fields
-    from .linalg import matrix_from_json
-
     # any state field makes the object a state, so a missing one is named
-    if isinstance(obj, dict) and any(field in obj for field in STATE_FIELDS):
-        *dims, mat = _state_fields(obj)
+    if isinstance(obj, dict) and any(field in obj for field in qm.bipartite.STATE_FIELDS):
+        *dims, mat = qm.bipartite._state_fields(obj)
+        if args.dims is not None and tuple(args.dims) != tuple(dims):
+            raise ValueError(
+                f"--dims {args.dims[0]},{args.dims[1]} does not match the state "
+                f"object's {dims[0]} x {dims[1]} factors"
+            )
     else:
         if args.dims is None:
             raise ValueError(
                 "input is a bare matrix object: pass --dims N,M to fix the factor split"
             )
         dims = args.dims
-        mat = matrix_from_json(obj)
+        mat = qm.linalg.matrix_from_json(obj)
 
     kmap = _load_kraus(args.kraus) if args.kraus else None
     if kmap is not None and (kmap.n, kmap.m) != tuple(dims):
@@ -244,7 +224,7 @@ def cmd_verify_state(args) -> int:
             f"Kraus family is {kmap.n} x {kmap.m} but the state is on "
             f"{dims[0]} x {dims[1]} factors"
         )
-    violations, state = _checked(mat, dims[0], dims[1], args.tol)
+    violations, state = qm.bipartite._checked(mat, dims[0], dims[1], args.tol)
     report = {
         "tolerance": args.tol,
         "dim_a": dims[0],
@@ -278,22 +258,15 @@ def cmd_verify_state(args) -> int:
 
 def cmd_choi(args) -> int:
     kmap = _load_kraus(args.kraus_file)
-    from .bipartite import state_to_json
-    from .cpmaps import choi_state
-
-    state = choi_state(kmap, args.tol)
-    _write_text(args.output, json.dumps(state_to_json(state), indent=2))
+    state = qm.cpmaps.choi_state(kmap, args.tol)
+    _write_text(args.output, json.dumps(qm.bipartite.state_to_json(state), indent=2))
     return EXIT_OK
 
 
 def cmd_kraus(args) -> int:
-    obj = _read_json(args.state_file)
-    from .bipartite import state_from_json
-    from .cpmaps import kraus_from_state, kraus_to_json
-
-    state = state_from_json(obj, args.tol)
-    kmap = kraus_from_state(state, args.tol)
-    _write_text(args.output, json.dumps(kraus_to_json(kmap), indent=2))
+    state = qm.bipartite.state_from_json(_read_json(args.state_file), args.tol)
+    kmap = qm.cpmaps.kraus_from_state(state, args.tol)
+    _write_text(args.output, json.dumps(qm.cpmaps.kraus_to_json(kmap), indent=2))
     return EXIT_OK
 
 
@@ -303,13 +276,10 @@ def cmd_kraus(args) -> int:
 
 def cmd_extremal_check(args) -> int:
     kmap = _load_kraus(args.kraus_file)
-    from .bipartite import perturbation_freedom_dim
-    from .cpmaps import choi_extremality, choi_state, doubly_constrained_extremality
-
-    single = choi_extremality(kmap, args.tol)
-    double = doubly_constrained_extremality(kmap, args.tol)
-    state = choi_state(kmap, args.tol)
-    freedom = perturbation_freedom_dim(state, args.tol)
+    single = qm.cpmaps.choi_extremality(kmap, args.tol)
+    double = qm.cpmaps.doubly_constrained_extremality(kmap, args.tol)
+    state = qm.cpmaps.choi_state(kmap, args.tol)
+    freedom = qm.bipartite.perturbation_freedom_dim(state, args.tol)
     report = {
         "tolerance": args.tol,
         "n": kmap.n,
@@ -352,13 +322,14 @@ def cmd_sinkhorn(args) -> int:
         raise ValueError("--history must be 0 or more")
     if args.seed < 0:
         raise ValueError("--seed must be 0 or more")
+    if args.max_iter < 1:
+        raise ValueError("--max-iter must be at least 1")
     target_k = _load_target(args.target_k, args.m)
     target_l = _load_target(args.target_l, args.n)
-    from .cpmaps import kraus_to_json
-    from .scaling import ScalingConfig, random_kraus, sinkhorn_scale
-
-    config = ScalingConfig(target_k, target_l, max_iter=args.max_iter, residual_tol=args.tol)
-    start = random_kraus(args.n, args.m, args.r, args.seed)
+    config = qm.scaling.ScalingConfig(
+        target_k, target_l, max_iter=args.max_iter, residual_tol=args.tol
+    )
+    start = qm.scaling.random_kraus(args.n, args.m, args.r, args.seed)
 
     def render(rep: dict) -> str:
         r = rep["report"]
@@ -372,13 +343,13 @@ def cmd_sinkhorn(args) -> int:
         )
 
     try:
-        scaled, report = sinkhorn_scale(start, config)
+        scaled, report = qm.scaling.sinkhorn_scale(start, config)
         converged = True
     except NoConvergence as exc:
         scaled, report = exc.kraus, exc.report
         converged = False
 
-    doc = {"kraus": kraus_to_json(scaled), "report": report.to_json(args.history)}
+    doc = {"kraus": qm.cpmaps.kraus_to_json(scaled), "report": report.to_json(args.history)}
     _write_text(args.output, json.dumps(doc, indent=2))
     if args.output != "-":
         if args.json:
@@ -395,36 +366,18 @@ def cmd_sinkhorn(args) -> int:
 def cmd_demo(args) -> int:
     import numpy as np
 
-    from .bipartite import (
-        parthasarathy_bound,
-        partial_trace_a,
-        partial_trace_b,
-        perturbation_freedom_dim,
-        ppt_check,
-        state_to_json,
-    )
-    from .cpmaps import (
-        choi_extremality,
-        choi_state,
-        doubly_constrained_extremality,
-        extremal_qubit_qutrit_map,
-        marginal_K,
-        marginal_L,
-    )
-    from .linalg import rank_of_values
-
     checks = []
 
     def check(name: str, passed: bool, detail: str) -> None:
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
-    kmap = extremal_qubit_qutrit_map()
-    dev_k = float(np.abs(marginal_K(kmap) - np.eye(3) / 3).max())
+    kmap = qm.cpmaps.extremal_qubit_qutrit_map()
+    dev_k = float(np.abs(qm.cpmaps.marginal_K(kmap) - np.eye(3) / 3).max())
     check("marginal K equals identity/3", dev_k <= 1e-12, f"max deviation {dev_k:.3e}")
-    dev_l = float(np.abs(marginal_L(kmap) - np.eye(2) / 2).max())
+    dev_l = float(np.abs(qm.cpmaps.marginal_L(kmap) - np.eye(2) / 2).max())
     check("marginal L equals identity/2", dev_l <= 1e-12, f"max deviation {dev_l:.3e}")
 
-    state = choi_state(kmap)
+    state = qm.cpmaps.choi_state(kmap)
     expected = np.zeros((6, 6))
     c = 1.0 / (3.0 * np.sqrt(2.0))
     expected[1, 1] = expected[4, 4] = 1.0 / 6.0
@@ -434,42 +387,47 @@ def cmd_demo(args) -> int:
     check("composite state matches its closed form", dev_state <= 1e-14,
           f"max entry deviation {dev_state:.3e}")
 
-    dev_ma = float(np.abs(partial_trace_b(state) - np.eye(2) / 2).max())
-    dev_mb = float(np.abs(partial_trace_a(state) - np.eye(3) / 3).max())
-    check("state marginal on A is identity/2", dev_ma <= 1e-12, f"max deviation {dev_ma:.3e}")
-    check("state marginal on B is identity/3", dev_mb <= 1e-12, f"max deviation {dev_mb:.3e}")
+    # every state-level verdict is read from the report verify-state prints
+    analysis = _analyze_state(state, args.tol, kmap)
+    for factor, dim in (("A", 2), ("B", 3)):
+        marginal = qm.linalg.matrix_from_json(analysis[f"marginal_{factor.lower()}"])
+        dev = float(np.abs(marginal - np.eye(dim) / dim).max())
+        check(f"state marginal on {factor} is identity/{dim}", dev <= 1e-12,
+              f"max deviation {dev:.3e}")
 
+    spectrum = np.array(analysis["eigenvalues"])
     expected_spec = np.array([0.0, 0.0, 0.0, 0.0, 0.5, 0.5])
-    dev_spec = float(np.abs(state.spectrum - expected_spec).max())
+    dev_spec = float(np.abs(spectrum - expected_spec).max())
     check("eigenvalues are (0, 0, 0, 0, 1/2, 1/2)", dev_spec <= 1e-12,
-          f"spectrum {np.array2string(state.spectrum, precision=6)}")
+          f"spectrum {np.array2string(spectrum, precision=6)}")
 
-    rank = rank_of_values(state.spectrum, args.tol).rank
+    rank, bound = analysis["rank"], analysis["rank_bound"]
     check("rank is 2", rank == 2, f"rank {rank}")
-    bound = parthasarathy_bound(2, 3)
-    check("rank respects the extremality bound", rank <= bound, f"{rank} <= {bound}")
+    check("rank respects the extremality bound", bound["within_bound"],
+          f"{rank} <= {bound['bound']}")
 
-    ppt = ppt_check(state, args.tol)
+    ppt = analysis["ppt"]
+    pt_spectrum = np.array(ppt["spectrum"])
     expected_pt = np.array([-1 / 6, -1 / 6, 1 / 3, 1 / 3, 1 / 3, 1 / 3])
-    dev_pt = float(np.abs(ppt.spectrum - expected_pt).max())
+    dev_pt = float(np.abs(pt_spectrum - expected_pt).max())
     check("partial transpose spectrum is (-1/6 x2, 1/3 x4)", dev_pt <= 1e-12,
-          f"spectrum {np.array2string(ppt.spectrum, precision=6)}")
-    check("verdict is entangled", ppt.verdict == "entangled", f"verdict {ppt.verdict}")
+          f"spectrum {np.array2string(pt_spectrum, precision=6)}")
+    check("verdict is entangled", ppt["verdict"] == "entangled", f"verdict {ppt['verdict']}")
 
-    single = choi_extremality(kmap, args.tol)
+    single = qm.cpmaps.choi_extremality(kmap, args.tol)
     check("one-marginal independence holds", single.verdict,
           f"stacked rank {single.stacked_rank}/{single.family_size}")
-    double = doubly_constrained_extremality(kmap, args.tol)
-    check("two-marginal independence holds", double.verdict,
-          f"stacked rank {double.stacked_rank}/{double.family_size}")
+    double = analysis["doubly_constrained"]
+    check("two-marginal independence holds", double["verdict"],
+          f"stacked rank {double['stacked_rank']}/{double['family_size']}")
 
-    freedom = perturbation_freedom_dim(state, args.tol)
+    freedom = analysis["perturbation_freedom"]
     check("perturbation oracle finds no freedom", freedom == 0, f"dimension {freedom}")
 
     all_passed = all(c["passed"] for c in checks)
     report = {
         "tolerance": args.tol,
-        "state": state_to_json(state),
+        "state": qm.bipartite.state_to_json(state),
         "checks": checks,
         "all_passed": all_passed,
     }
@@ -518,10 +476,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bipartite states with fixed marginals: verification, "
         "Kraus/composite-state conversion, extremality tests and marginal scaling.",
     )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {qm.__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL,
+    tol.add_argument("--tol", type=_parse_tol, default=qm.DEFAULT_TOL,
                      help="relative tolerance of every rank, positivity and "
                      "extremality decision (default: %(default)s)")
     report = argparse.ArgumentParser(add_help=False, parents=[tol])

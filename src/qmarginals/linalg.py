@@ -174,11 +174,7 @@ def _hermitian_part(h, tol: float, name: str) -> Tuple[np.ndarray, float]:
     return herm, norm
 
 
-def eigh(
-    h: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-) -> HermitianEigen:
+def eigh(h: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
 
     For callers that read eigenvectors; a caller that needs eigenvalues
@@ -191,14 +187,14 @@ def eigh(
     Raises ``ValueError`` if ``frobenius(h)`` overflows (finite entries,
     norm above about 1.3e154), since the stopping threshold would be inf;
     ``NotHermitian`` if ``h`` is not Hermitian within ``tol``; and
-    ``NoConvergence`` if ``max_sweeps`` sweeps do not suffice.
+    ``NoConvergence`` if ``JACOBI_MAX_SWEEPS`` sweeps do not suffice.
     """
     herm, norm = _hermitian_part(h, tol, "eigh")
     work = np.ascontiguousarray(herm)
     vecs = np.eye(work.shape[0], dtype=np.complex128)
-    sweeps = _jacobi_cyclic(work, vecs, max_sweeps, JACOBI_OFF_FACTOR * norm)
+    sweeps = _jacobi_cyclic(work, vecs, JACOBI_MAX_SWEEPS, JACOBI_OFF_FACTOR * norm)
     if sweeps < 0:
-        raise NoConvergence(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
+        raise NoConvergence(f"Jacobi iteration did not converge in {JACOBI_MAX_SWEEPS} sweeps")
     values = np.diagonal(work).real.copy()
     order = np.argsort(values, kind="stable")
     return HermitianEigen(values[order], np.ascontiguousarray(vecs[:, order]))

@@ -33,6 +33,7 @@ from qmarginals import (
     uniform_targets,
     validate_state,
 )
+from qmarginals import cli
 from qmarginals.cli import main
 
 
@@ -68,6 +69,24 @@ def test_demo_json_report(capsys):
     names = [c["name"] for c in report["checks"]]
     assert len(names) == len(set(names)) >= 12
     assert all(c["passed"] for c in report["checks"])
+
+
+def test_demo_checks_the_verify_state_report(monkeypatch, capsys):
+    analyze = cli._analyze_state
+
+    def flipped(*args, **kwargs):
+        report = analyze(*args, **kwargs)
+        report["ppt"]["verdict"] = "separable"
+        return report
+
+    monkeypatch.setattr(cli, "_analyze_state", flipped)
+    assert main(["demo", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert [(c["name"], c["detail"]) for c in failed] == [
+        ("verdict is entangled", "verdict separable")
+    ]
+    assert report["all_passed"] is False
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +272,18 @@ def test_verify_state_bare_matrix_needs_dims(tmp_path, capsys):
     assert main(["verify-state", str(path), "--dims", "2,3", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["valid"] and report["dim_a"] == 2 and report["dim_b"] == 3
+
+
+def test_verify_state_refuses_dims_that_differ_from_the_state_object(
+    example_state_file, capsys
+):
+    assert main(["verify-state", example_state_file, "--dims", "3,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --dims 3,2 does not match the state object's 2 x 3 factors\n"
+    assert main(["verify-state", example_state_file, "--dims", "2,3", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["valid"] and (report["dim_a"], report["dim_b"]) == (2, 3)
 
 
 @pytest.mark.parametrize(
@@ -496,7 +527,7 @@ def test_out_of_memory_is_one_line_usage_error(monkeypatch, capsys, message):
     def refuse(*args, **kwargs):
         raise MemoryError(message)
 
-    # the handler imports ScalingConfig from its defining module when it runs
+    # the handler looks ScalingConfig up on its defining module when it runs
     monkeypatch.setattr("qmarginals.scaling.ScalingConfig", refuse)
     assert main(["sinkhorn", "--n", "2", "--m", "3", "--r", "1"]) == 2
     captured = capsys.readouterr()
@@ -991,9 +1022,11 @@ def _run_entry(tmp_path, argv, stdin=None):
         (["verify-state", "--json", "malformed.json"], None, 2, "", MALFORMED_ERROR),
         (["verify-state", "--json", "-"], MALFORMED, 2, "", MALFORMED_ERROR),
         (["sinkhorn", "--n", "2", "--m", "3", "--r", "0"], None, 2, "", "error: --r must be at least 1\n"),
+        (["sinkhorn", "--n", "2", "--m", "3", "--r", "2", "--max-iter", "0"], None, 2, "",
+         "error: --max-iter must be at least 1\n"),
     ],
     ids=["version", "help", "unknown-command", "tol-nan", "missing-file", "malformed-file",
-         "malformed-stdin", "sinkhorn-r0"],
+         "malformed-stdin", "sinkhorn-r0", "sinkhorn-max-iter0"],
 )
 def test_commands_that_exit_before_computing_never_load_numpy(
     tmp_path, argv, stdin, code, stdout, stderr
@@ -1137,7 +1170,7 @@ def test_eigenvalue_only_paths_never_reach_jacobi(
         assert np.abs(seen.mat - state.mat).max() <= 1e-14
         return freedom
 
-    # the commands import the oracle from ``bipartite`` when they run
+    # the commands look the oracle up on ``bipartite`` when they run
     monkeypatch.setattr(bipartite, "perturbation_freedom_dim", known_freedom)
     assert main(["verify-state", "--json", example_state_file]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -111,11 +111,12 @@ def test_eigh_refuses_overflowing_norm():
             eigh(np.full((6, 6), 1e200, dtype=complex))
 
 
-def test_eigh_budget_exhaustion_raises():
+def test_eigh_budget_exhaustion_raises(monkeypatch):
     rng = np.random.default_rng(11)
     h = random_hermitian(rng, 12)
+    monkeypatch.setattr("qmarginals.linalg.JACOBI_MAX_SWEEPS", 1)  # eigh reads it at call time
     with pytest.raises(NoConvergence):
-        eigh(h, max_sweeps=1)
+        eigh(h)
 
 
 # ---------------------------------------------------------------------------
