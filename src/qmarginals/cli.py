@@ -377,7 +377,7 @@ def cmd_demo(args) -> int:
     dev_l = float(np.abs(qm.cpmaps.marginal_L(kmap) - np.eye(2) / 2).max())
     check("marginal L equals identity/2", dev_l <= 1e-12, f"max deviation {dev_l:.3e}")
 
-    state = qm.cpmaps.choi_state(kmap)
+    state = qm.cpmaps.choi_state(kmap, args.tol)
     expected = np.zeros((6, 6))
     c = 1.0 / (3.0 * np.sqrt(2.0))
     expected[1, 1] = expected[4, 4] = 1.0 / 6.0
@@ -467,6 +467,9 @@ def _parse_tol(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}") from exc
     if not (math.isfinite(tol) and tol > 0.0):
         raise argparse.ArgumentTypeError(f"tolerance must be finite and positive, got {text}")
+    # a tolerance of 1 or more passes every check vacuously
+    if tol >= 1.0:
+        raise argparse.ArgumentTypeError(f"tolerance must be less than 1, got {text}")
     return tol
 
 
@@ -481,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument("--tol", type=_parse_tol, default=qm.DEFAULT_TOL,
                      help="relative tolerance of every rank, positivity and "
-                     "extremality decision (default: %(default)s)")
+                     "extremality decision, 0 < TOL < 1 (default: %(default)s)")
     report = argparse.ArgumentParser(add_help=False, parents=[tol])
     report.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -523,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "Frobenius norm at most about 1.3e154")
     p.add_argument("--max-iter", type=int, default=10000)
     p.add_argument("--tol", type=_parse_tol, default=1e-10,
-                   help="residual tolerance (default: %(default)s)")
+                   help="residual tolerance (default: %(default)s), 0 < TOL < 1")
     p.add_argument("--history", type=int, default=0, metavar="N",
                    help="keep only the last N history entries in the output (0 = all)")
     p.add_argument("-o", "--output", default="-",
@@ -559,10 +562,6 @@ def main(argv=None) -> int:
     except QMarginalsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-
-
-def run() -> None:
-    raise SystemExit(main())
 
 
 if __name__ == "__main__":

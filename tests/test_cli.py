@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -681,7 +682,7 @@ def test_subcommand_help_lists_its_options(capsys, command, offers_json):
     assert ("--json" in out) == offers_json
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "-inf", "abc"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "-inf", "abc", "1", "10"])
 @pytest.mark.parametrize(
     "argv",
     [
@@ -754,6 +755,19 @@ def test_extremal_check_huge_entry_fails_with_one_line(tmp_path, capsys):
 def test_tol_accepts_small_positive_values(capsys):
     assert main(["demo", "--tol", "1e-9"]) == 0
     assert "all checks passed" in capsys.readouterr().out
+
+
+def test_demo_tol_reaches_the_validity_check(monkeypatch, capsys):
+    from qmarginals import bipartite
+
+    seen = []
+    checked = bipartite._checked
+    monkeypatch.setattr(
+        bipartite, "_checked", lambda mat, n, m, tol: seen.append(tol) or checked(mat, n, m, tol)
+    )
+    assert main(["demo", "--tol", "1e-6"]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+    assert seen == [1e-6]
 
 
 def test_sinkhorn_rejects_non_psd_target(tmp_path, capsys):
@@ -991,22 +1005,26 @@ MALFORMED_ERROR = "error: JSON parse failure at byte offset 46: Expecting proper
 
 
 def _run_entry(tmp_path, argv, stdin=None):
-    """The console entry, ``__main__.run``, in a fresh interpreter: exit
-    code, stdout, stderr, and whether numpy was in ``sys.modules`` at exit
-    (written to a file, so the command's own output is left as it is)."""
-    marker = tmp_path / "loaded.json"
+    """The console entry, ``__main__.run``, in a fresh interpreter: the
+    finished process, and a record of the interpreter state once ``run()``
+    has raised ``SystemExit``, written to a file so the command's own
+    output is left as it is: whether numpy and numpy.ma were in
+    ``sys.modules`` and whether any object was frozen out of garbage
+    collection."""
+    marker = tmp_path / "state.json"
     probe = (
-        "import json, sys\n"
+        "import gc, json, sys\n"
         "from qmarginals.__main__ import run\n"
         f"sys.argv = ['qmarginals', *{list(argv)!r}]\n"
         "try:\n"
         "    run()\n"
         "finally:\n"
-        f"    open({str(marker)!r}, 'w').write(json.dumps(['numpy' in sys.modules, 'numpy.ma' in sys.modules]))"
+        "    state = {'numpy': 'numpy' in sys.modules, 'numpy.ma': 'numpy.ma' in sys.modules,\n"
+        "             'frozen': gc.get_freeze_count() > 0}\n"
+        f"    open({str(marker)!r}, 'w').write(json.dumps(state))"
     )
     proc = _run_python("-c", probe, input=stdin, cwd=tmp_path)
-    numpy_loaded, ma_loaded = json.loads(marker.read_text())
-    return proc, numpy_loaded, ma_loaded
+    return proc, json.loads(marker.read_text())
 
 
 @pytest.mark.parametrize(
@@ -1038,22 +1056,56 @@ def test_commands_that_exit_before_computing_never_load_numpy(
         return text == expected if expected == "" or expected.endswith("\n") else expected in text
 
     (tmp_path / "malformed.json").write_text(MALFORMED)
-    proc, numpy_loaded, _ = _run_entry(tmp_path, argv, stdin)
+    proc, state = _run_entry(tmp_path, argv, stdin)
     assert proc.returncode == code
     assert matches(proc.stdout, stdout) and matches(proc.stderr, stderr)
-    assert not numpy_loaded
+    assert not state["numpy"]
 
 
 def test_a_computing_command_loads_numpy_and_a_scaling_run_not_numpy_ma(tmp_path):
-    proc, numpy_loaded, _ = _run_entry(tmp_path, ["demo", "--json"])
+    proc, state = _run_entry(tmp_path, ["demo", "--json"])
     assert proc.returncode == 0 and json.loads(proc.stdout)["all_passed"] is True
-    assert numpy_loaded
+    assert state["numpy"]
     # the contraction rate is a median taken without np.median, which
     # imports numpy.ma
-    proc, numpy_loaded, ma_loaded = _run_entry(tmp_path, ["sinkhorn", "--n", "2", "--m", "3", "--r", "2"])
+    proc, state = _run_entry(tmp_path, ["sinkhorn", "--n", "2", "--m", "3", "--r", "2"])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["report"]["contraction_rate"] is not None
-    assert numpy_loaded and not ma_loaded
+    assert state["numpy"] and not state["numpy.ma"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["demo", "--json"], 0), (["verify-state", "--tol", "10", "-"], 2)],
+    ids=["demo", "usage-error"],
+)
+def test_console_entry_freezes_the_heap_before_it_exits(tmp_path, argv, code):
+    # finalization's garbage collections skip frozen objects
+    proc, state = _run_entry(tmp_path, argv, stdin="")
+    assert proc.returncode == code, proc.stderr
+    assert state["frozen"]
+
+
+def test_main_leaves_garbage_collection_alone(capsys):
+    before = gc.get_freeze_count()
+    assert main(["demo", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_passed"] is True
+    assert gc.get_freeze_count() == before
+
+
+def test_console_entry_runs_atexit_callbacks_and_writes_its_whole_output():
+    # an entry that ended the process with os._exit would skip both
+    probe = (
+        "import atexit, sys\n"
+        "atexit.register(lambda: print('atexit ran', file=sys.stderr))\n"
+        "from qmarginals.__main__ import run\n"
+        "sys.argv = ['qmarginals', 'demo', '--json']\n"
+        "run()"
+    )
+    proc = _run_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["all_passed"] is True
+    assert proc.stderr == "atexit ran\n"
 
 
 def test_export_table_names_each_attribute_once():
