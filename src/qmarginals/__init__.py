@@ -13,6 +13,13 @@ searching for new extreme points by operator Sinkhorn scaling.
 'entangled'
 >>> qm.doubly_constrained_extremality(kmap).verdict
 True
+
+Every tolerance, the ``tol`` of each check and a scaling run's
+``residual_tol`` alike, must lie in the open interval (0, 1): zero or less
+could never be met, and 1 or more lets every check pass vacuously.  One
+rule, ``check_tol``, refuses any other value, NaN included, with a
+``ValueError``.  The library applies it once on entry to each check, never
+inside an iteration, and the CLI's parser applies it to ``--tol``.
 """
 
 import importlib
@@ -23,6 +30,16 @@ __version__ = "0.1.0"
 #: one.  Defined here, without numpy, so the CLI's parser reads it before
 #: any layer loads; ``linalg`` re-exports it.
 DEFAULT_TOL = 1e-8
+
+
+def check_tol(tol: float, name: str = "tol") -> float:
+    """Return ``tol`` if it lies in (0, 1); raise ``ValueError`` naming
+    ``name`` otherwise.  The only tolerance rule, defined without numpy
+    next to ``DEFAULT_TOL`` for the same reason."""
+    if not 0.0 < tol < 1.0:  # NaN compares false, so it is refused too
+        raise ValueError(f"{name} must lie in (0, 1), got {tol}")
+    return tol
+
 
 #: Each public name and the submodule that defines it.  A name is imported
 #: on first access (PEP 562), so ``import qmarginals`` alone loads neither
@@ -50,7 +67,7 @@ _EXPORTS = {
 }
 _SUBMODULES = {*_EXPORTS.values(), "cli", "sampling"}
 
-__all__ = ["__version__", "DEFAULT_TOL", *_EXPORTS]
+__all__ = ["__version__", "DEFAULT_TOL", "check_tol", *_EXPORTS]
 
 
 def __getattr__(name):

@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import linalg, sampling
+from . import check_tol, linalg, sampling
 from .errors import DimensionMismatch, NotHermitian, NotPSD, NotUnitary, TraceNotOne
 from .linalg import DEFAULT_TOL, as_matrix, dagger, eigh, eigvalsh, frobenius, numerical_rank
 
@@ -122,7 +122,8 @@ class PptReport:
 def state_violations(mat, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) -> List[Violation]:
     """Every density-matrix invariant that ``mat`` violates, in check order
     (dimensions, Hermiticity, positivity, trace).  Empty list means valid.
-    Raises ``ValueError`` if ``||mat||_F`` overflows."""
+    Raises ``ValueError`` if ``||mat||_F`` overflows or ``tol`` lies outside
+    (0, 1)."""
     return _checked(as_matrix(mat), dim_a, dim_b, tol)[0]
 
 
@@ -135,6 +136,7 @@ def _checked(
     One Hermiticity pass (``linalg._hermitian_split``) gives the scale
     ``max(1, ||mat||_F)``, the deviation from Hermitian and the Hermitian
     part, whose LAPACK eigenvalues become the state's ``spectrum``."""
+    check_tol(tol)
     d = dim_a * dim_b
     if mat.shape != (d, d):
         return [
@@ -245,6 +247,7 @@ def max_entangled_projector(f_basis, tol: float = DEFAULT_TOL) -> BipartiteState
     """Rank-one projector onto (e_1 (x) f_1 + e_2 (x) f_2)/sqrt(2) in
     C^2 (x) C^2, where f_1, f_2 are the columns of the unitary ``f_basis``.
     Both marginals come out maximally mixed."""
+    check_tol(tol)
     f = as_matrix(f_basis)
     if f.shape != (2, 2):
         raise DimensionMismatch(f"basis matrix must be 2x2, got {f.shape}")

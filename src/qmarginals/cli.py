@@ -18,24 +18,25 @@ Subcommands wire the library together around JSON files:
 
 Exit codes are uniform: 0 success/pass, 1 semantic failure (invalid state,
 not extreme, no convergence), 2 input or usage error, a request too large
-for memory included.  "-" stands for
-stdin/stdout.  Reports are deterministic functions of the inputs and flags;
-JSON mode prints doubles round-trip exactly, text mode rounds to 6
-significant digits.
+for memory included; every error is one ``error:`` line on stderr.  "-"
+stands for stdin/stdout.  Reports are deterministic functions of the
+inputs and flags; JSON mode prints doubles round-trip exactly, text mode
+rounds to 6 significant digits.
 
-What loads when: a layer, and numpy with it, loads at the CLI's first use
-of one of its names (``qm.bipartite.ppt_check``), through the package's
-export table, and each handler checks its plain arguments and reads its
-input before that.  So ``--version``, ``--help``, a usage error and an
-unreadable or malformed input exit without loading numpy.  A second input
-file (``--kraus``, ``--target-l``) is read after the first is parsed.
+Every rule on a plain argument is that argument's ``type=`` in the parser:
+``--tol`` follows ``qmarginals.check_tol``, each count ``_count``.  What
+loads when: a layer, and numpy with it, loads at the CLI's first use of one
+of its names (``qm.bipartite.ppt_check``), through the package's export
+table, and each handler reads its input before that.  So ``--version``,
+``--help``, a usage error and an unreadable or malformed input exit without
+loading numpy.  A second input file (``--kraus``, ``--target-l``) is read
+after the first is parsed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Optional
 
@@ -314,16 +315,6 @@ def cmd_extremal_check(args) -> int:
 
 
 def cmd_sinkhorn(args) -> int:
-    if args.r < 1:
-        raise ValueError("--r must be at least 1")
-    if args.n < 1 or args.m < 1:
-        raise ValueError("--n and --m must be at least 1")
-    if args.history < 0:
-        raise ValueError("--history must be 0 or more")
-    if args.seed < 0:
-        raise ValueError("--seed must be 0 or more")
-    if args.max_iter < 1:
-        raise ValueError("--max-iter must be at least 1")
     target_k = _load_target(args.target_k, args.m)
     target_l = _load_target(args.target_l, args.n)
     config = qm.scaling.ScalingConfig(
@@ -447,34 +438,43 @@ def cmd_demo(args) -> int:
 # parser / dispatch
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses with one ``error:`` line and exit 2, as ``main`` does."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
+def _count(least: int):
+    """An argparse type: an integer of at least ``least``."""
+
+    def count(text: str) -> int:
+        try:
+            if (value := int(text)) >= least:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer of at least {least}, got {text!r}")
+
+    return count
+
+
 def _parse_dims(text: str):
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected two comma-separated integers, e.g. 2,3")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError("dimensions must be integers") from exc
-    if n < 1 or m < 1:
-        raise argparse.ArgumentTypeError("dimensions must be positive")
-    return n, m
+    return tuple(map(_count(1), parts))
 
 
 def _parse_tol(text: str) -> float:
     try:
-        tol = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}") from exc
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and positive, got {text}")
-    # a tolerance of 1 or more passes every check vacuously
-    if tol >= 1.0:
-        raise argparse.ArgumentTypeError(f"tolerance must be less than 1, got {text}")
-    return tol
+        return qm.check_tol(float(text), "tolerance")
+    except ValueError as exc:  # not a number, or outside (0, 1)
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qmarginals",
         description="Bipartite states with fixed marginals: verification, "
         "Kraus/composite-state conversion, extremality tests and marginal scaling.",
@@ -514,20 +514,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_extremal_check)
 
     p = sub.add_parser("sinkhorn", help="scale a seeded random family to target marginals")
-    p.add_argument("--n", type=int, required=True, help="domain dimension")
-    p.add_argument("--m", type=int, required=True, help="codomain dimension")
-    p.add_argument("--r", type=int, required=True, help="number of operators")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_count(1), required=True, help="domain dimension")
+    p.add_argument("--m", type=_count(1), required=True, help="codomain dimension")
+    p.add_argument("--r", type=_count(1), required=True, help="number of operators")
+    p.add_argument("--seed", type=_count(0), default=0)
     p.add_argument("--target-k", default=None, metavar="FILE",
                    help="m x m target for sum V^dagger V (default identity/m); "
                    "Frobenius norm at most about 1.3e154")
     p.add_argument("--target-l", default=None, metavar="FILE",
                    help="n x n target for sum V V^dagger (default identity/n); "
                    "Frobenius norm at most about 1.3e154")
-    p.add_argument("--max-iter", type=int, default=10000)
+    p.add_argument("--max-iter", type=_count(1), default=10000)
     p.add_argument("--tol", type=_parse_tol, default=1e-10,
                    help="residual tolerance (default: %(default)s), 0 < TOL < 1")
-    p.add_argument("--history", type=int, default=0, metavar="N",
+    p.add_argument("--history", type=_count(0), default=0, metavar="N",
                    help="keep only the last N history entries in the output (0 = all)")
     p.add_argument("-o", "--output", default="-",
                    help="destination for {kraus, report}; - for stdout")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import check_tol, linalg
 from .bipartite import BipartiteState, _support, validate_state
 from .errors import DimensionMismatch, TraceNotOne
 from .linalg import DEFAULT_TOL, RankDecision, as_matrix, dagger, rank_with_margin
@@ -154,12 +154,14 @@ def choi_state(kmap: KrausMap, tol: float = DEFAULT_TOL) -> BipartiteState:
     (n*m)-dimensional bipartite state.
 
     Requires sum_l V_l^dagger V_l to have unit trace, which is exactly what
-    makes the result a state; raises ``TraceNotOne`` otherwise.
+    makes the result a state; raises ``TraceNotOne`` otherwise, and
+    ``ValueError`` first for a ``tol`` outside (0, 1) (``check_tol``).
 
     Marginals: tracing out the first factor gives ``marginal_K`` exactly;
     tracing out the second gives the entrywise conjugate of ``marginal_L``
     (equal to it whenever the operators are real).
     """
+    check_tol(tol)
     trace_k = float(np.real(sum(np.vdot(op, op) for op in kmap.ops)))
     if abs(trace_k - 1.0) > tol:
         raise TraceNotOne(

@@ -17,7 +17,9 @@ the formula of ``numpy.linalg.norm`` without its argument handling.
 
 All tolerances are relative and flow in as parameters; ``DEFAULT_TOL`` is the
 single documented default.  It is defined in the package root, where the CLI
-reads it without numpy, and re-exported here.
+reads it without numpy, and re-exported here.  Every tolerance obeys the
+package's one rule (``check_tol``: 0 < tol < 1), which ``_hermitian_part``
+and ``rank_of_values`` apply.
 """
 
 import math
@@ -25,7 +27,7 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from . import DEFAULT_TOL
+from . import DEFAULT_TOL, check_tol
 from .errors import DimensionMismatch, NoConvergence, NotHermitian
 
 #: Sweep budget and relative off-diagonal termination threshold for Jacobi.
@@ -158,8 +160,10 @@ def _hermitian_part(h, tol: float, name: str) -> Tuple[np.ndarray, float]:
     from ``_hermitian_split``.  Raises ``DimensionMismatch`` for a
     non-square matrix, ``ValueError`` if ``frobenius(h)`` overflows, and
     ``NotHermitian`` if ``h`` deviates from Hermitian by more than
-    ``tol * max(1, ||h||_F)``.
+    ``tol * max(1, ||h||_F)``.  A ``tol`` outside (0, 1) is refused
+    (``check_tol``).
     """
+    check_tol(tol)
     h = as_matrix(h)
     if h.shape[0] != h.shape[1]:
         raise DimensionMismatch(f"{name} needs a square matrix, got {h.shape}")
@@ -227,7 +231,9 @@ def rank_of_values(values: np.ndarray, tol: float = DEFAULT_TOL) -> RankDecision
     discarded value, squared, as the margins.  A negative value is never
     retained and counts as zero in a margin; all-zero input gives
     ``(0, None, 0.0)``.  Squared as Python floats, so that past about 1.3e154
-    a margin is inf without numpy's overflow warning."""
+    a margin is inf without numpy's overflow warning.  A ``tol`` outside
+    (0, 1) is refused (``check_tol``)."""
+    check_tol(tol)
     rank = int(np.count_nonzero(values > tol * max(float(values[-1]), 0.0)))
     kept = float(values[-rank]) if rank else None
     dropped = max(float(values[-rank - 1]), 0.0) if rank < len(values) else None

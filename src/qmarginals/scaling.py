@@ -49,7 +49,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import sampling
+from . import check_tol, sampling
 from .bipartite import BipartiteState
 from .cpmaps import (
     ExtremalityReport,
@@ -75,8 +75,8 @@ class ScalingConfig:
     Both targets must be PSD with unit trace (the marginals of any state
     are), checked to 1e-12 at construction: ``TraceNotOne`` or ``NotPSD``
     otherwise.  ``max_iter`` must be a positive integer and ``residual_tol``
-    finite and positive (``ValueError`` otherwise): a NaN tolerance would
-    pass vacuously and a zero one could never be met.
+    must lie in (0, 1), the package's one tolerance rule (``check_tol``):
+    ``ValueError`` otherwise.
 
     The eigendecomposition behind the PSD check is kept: each target's
     spectrum, clipped at zero, and its principal square root, which
@@ -95,10 +95,7 @@ class ScalingConfig:
     def __post_init__(self):
         if not is_positive_int(self.max_iter):
             raise ValueError(f"max_iter must be a positive integer, got {self.max_iter!r}")
-        if not (np.isfinite(self.residual_tol) and self.residual_tol > 0):
-            raise ValueError(
-                f"residual_tol must be finite and positive, got {self.residual_tol!r}"
-            )
+        check_tol(self.residual_tol, "residual_tol")
         for side in ("K", "L"):
             name = f"target_{side}"
             mat = as_matrix(getattr(self, name)).copy()
@@ -279,12 +276,15 @@ def sinkhorn_scale(
     appended to a list, so a large ``max_iter`` costs nothing up front, and
     copied once into the report's read-only ``history``.
 
-    Raises ``SingularScaling`` as soon as an intermediate sum has smaller
-    support than its target (the scaling can then never reach it), and
+    Raises ``ValueError`` for a ``tol`` outside (0, 1) (``check_tol``),
+    checked once before the first iteration; ``SingularScaling`` as soon as
+    an intermediate sum has smaller support than its target (the scaling
+    can then never reach it); and
     ``NoConvergence`` -- carrying the report and the partially scaled family,
     and naming the side further from its target and the report's
     ``contraction_rate`` -- when the budget runs out.
     """
+    check_tol(tol)
     n, m, r = kmap.n, kmap.m, kmap.r
     target_K, target_L = config.target_K, config.target_L
     if target_K.shape != (m, m) or target_L.shape != (n, n):
@@ -355,8 +355,14 @@ def find_extremal_candidate(
     marginals -> doubly-constrained extremality test -> composite state.
 
     Rejects r with r^2 > n^2 + m^2 up front (``InfeasibleRank``): the
-    independence test can never pass there.  Scaling failures propagate.
+    independence test can never pass there.  The composite state is checked
+    at ``max(tol, 10 * residual_tol)``, looser than ``tol`` because the
+    scaled marginals are only within ``residual_tol`` of their targets; so a
+    ``config.residual_tol`` of 0.1 or more, which would make that check
+    vacuous, is refused up front too (``ValueError``, by ``check_tol``).
+    Scaling failures propagate.
     """
+    state_tol = check_tol(10.0 * config.residual_tol, "10 * residual_tol")
     if r * r > n * n + m * m:
         raise InfeasibleRank(
             f"r^2 = {r * r} exceeds n^2 + m^2 = {n * n + m * m}; "
@@ -364,7 +370,7 @@ def find_extremal_candidate(
         )
     scaled, report = sinkhorn_scale(random_kraus(n, m, r, seed), config, tol)
     verdict = doubly_constrained_extremality(scaled, tol)
-    state = choi_state(scaled, max(tol, 10.0 * config.residual_tol))
+    state = choi_state(scaled, max(tol, state_tol))
     return scaled, verdict, state
 
 

@@ -290,18 +290,16 @@ def test_verify_state_refuses_dims_that_differ_from_the_state_object(
 @pytest.mark.parametrize(
     "dims, reason",
     [
-        ("2", "expected two comma-separated integers"),
-        ("a,b", "dimensions must be integers"),
-        ("0,3", "dimensions must be positive"),
+        ("2", "expected two comma-separated integers, e.g. 2,3"),
+        ("a,b", "expected an integer of at least 1, got 'a'"),
+        ("0,3", "expected an integer of at least 1, got '0'"),
     ],
 )
 def test_verify_state_rejects_bad_dims(tmp_path, capsys, dims, reason):
     path = tmp_path / "bare.json"
     path.write_text(json.dumps(matrix_to_json(np.eye(6) / 6)))
     assert main(["verify-state", str(path), "--dims", dims]) == 2
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert lines[0].startswith("usage: qmarginals")
-    assert f"error: argument --dims: {reason}" in lines[-1]
+    assert capsys.readouterr() == ("", f"error: argument --dims: {reason}\n")
 
 
 def test_verify_state_truncated_file(tmp_path, capsys):
@@ -514,11 +512,15 @@ def test_sinkhorn_history_truncation(tmp_path):
 
 
 def test_sinkhorn_rejects_negative_history(capsys):
-    argv = ["sinkhorn", "--n", "2", "--m", "3", "--r", "2", "--history", "-5"]
-    assert main(argv) == 2
-    _assert_one_line_error(capsys)
-    assert main(["sinkhorn", "--n", "2", "--m", "3", "--r", "2", "--seed", "-1"]) == 2
-    assert capsys.readouterr().err == "error: --seed must be 0 or more\n"
+    argv = ["sinkhorn", "--n", "2", "--m", "3", "--r", "2"]
+    assert main(argv + ["--history", "-5"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: argument --history: expected an integer of at least 0, got '-5'\n"
+    )
+    assert main(argv + ["--seed", "-1"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: argument --seed: expected an integer of at least 0, got '-1'\n"
+    )
 
 
 @pytest.mark.parametrize("message", ["Unable to allocate 149. GiB for an array", ""])
@@ -581,18 +583,13 @@ def test_text_and_json_agree_on_values(example_state_file, capsys):
 # malformed input: exit 2 with a one-line error, never a traceback
 
 
-def _assert_one_line_error(capsys, usage=False):
-    """Input errors print one ``error:`` line; argparse puts its usage text
-    above it."""
+def _assert_one_line_error(capsys):
+    """Input errors, the parser's included, print one ``error:`` line."""
     captured = capsys.readouterr()
     lines = captured.err.strip().splitlines()
     assert captured.out == ""
     assert "Traceback" not in captured.err
-    if usage:
-        assert lines[0].startswith("usage: qmarginals")
-        assert lines[-1].startswith("qmarginals") and ": error: " in lines[-1]
-    else:
-        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
 
 
 def _state_doc():
@@ -696,8 +693,14 @@ def test_subcommand_help_lists_its_options(capsys, command, offers_json):
     ids=lambda argv: argv[0],
 )
 def test_tol_must_be_finite_and_positive(capsys, argv, tol):
+    if tol == "abc":
+        reason = "could not convert string to float: 'abc'"
+    elif tol == "-inf":  # argparse reads it, unlike "-1", as an option
+        reason = "expected one argument"
+    else:
+        reason = f"tolerance must lie in (0, 1), got {float(tol)}"
     assert main(argv + ["--tol", tol]) == 2
-    _assert_one_line_error(capsys, usage=True)
+    assert capsys.readouterr() == ("", f"error: argument --tol: {reason}\n")
 
 
 @pytest.mark.parametrize("command", ["verify-state", "choi", "kraus", "extremal-check"])
@@ -1027,31 +1030,50 @@ def _run_entry(tmp_path, argv, stdin=None):
     return proc, json.loads(marker.read_text())
 
 
+#: A sinkhorn command that would run, given one more argument.
+SINKHORN = ["sinkhorn", "--n", "2", "--m", "3", "--r", "2"]
+
+
 @pytest.mark.parametrize(
     "argv, stdin, code, stdout, stderr",
     [
         (["--version"], None, 0, f"qmarginals {qmarginals.__version__}\n", ""),
         (["--help"], None, 0, "usage: qmarginals [-h] [--version]", ""),
-        (["frobnicate"], None, 2, "", "qmarginals: error: argument command: invalid choice: 'frobnicate'"),
+        ([], None, 2, "", "error: the following arguments are required: command\n"),
+        (["frobnicate"], None, 2, "", "error: argument command: invalid choice: 'frobnicate'"),
+        (["demo", "--frobnicate"], None, 2, "", "error: unrecognized arguments: --frobnicate\n"),
         (["verify-state", "--tol", "nan", "state.json"], None, 2, "",
-         "\nqmarginals verify-state: error: argument --tol: tolerance must be finite and positive, got nan"),
+         "error: argument --tol: tolerance must lie in (0, 1), got nan\n"),
+        (["verify-state", "--dims", "2", "state.json"], None, 2, "",
+         "error: argument --dims: expected two comma-separated integers, e.g. 2,3\n"),
         (["verify-state", "--json", "missing.json"], None, 2, "",
          "error: [Errno 2] No such file or directory: 'missing.json'\n"),
         (["verify-state", "--json", "malformed.json"], None, 2, "", MALFORMED_ERROR),
         (["verify-state", "--json", "-"], MALFORMED, 2, "", MALFORMED_ERROR),
-        (["sinkhorn", "--n", "2", "--m", "3", "--r", "0"], None, 2, "", "error: --r must be at least 1\n"),
-        (["sinkhorn", "--n", "2", "--m", "3", "--r", "2", "--max-iter", "0"], None, 2, "",
-         "error: --max-iter must be at least 1\n"),
+        (["sinkhorn", "--n", "2", "--m", "3", "--r", "0"], None, 2, "",
+         "error: argument --r: expected an integer of at least 1, got '0'\n"),
+        (["sinkhorn", "--n", "2", "--m", "x", "--r", "2"], None, 2, "",
+         "error: argument --m: expected an integer of at least 1, got 'x'\n"),
+        (["sinkhorn", "--n", "2", "--m", "3"], None, 2, "",
+         "error: the following arguments are required: --r\n"),
+        (SINKHORN + ["--max-iter", "0"], None, 2, "",
+         "error: argument --max-iter: expected an integer of at least 1, got '0'\n"),
+        (SINKHORN + ["--seed", "-1"], None, 2, "",
+         "error: argument --seed: expected an integer of at least 0, got '-1'\n"),
+        (SINKHORN + ["--history", "-1"], None, 2, "",
+         "error: argument --history: expected an integer of at least 0, got '-1'\n"),
     ],
-    ids=["version", "help", "unknown-command", "tol-nan", "missing-file", "malformed-file",
-         "malformed-stdin", "sinkhorn-r0", "sinkhorn-max-iter0"],
+    ids=["version", "help", "no-command", "unknown-command", "unknown-option", "tol-nan",
+         "dims-one-part", "missing-file", "malformed-file", "malformed-stdin", "sinkhorn-r0",
+         "sinkhorn-m-not-integer", "sinkhorn-r-missing", "sinkhorn-max-iter0",
+         "sinkhorn-seed-negative", "sinkhorn-history-negative"],
 )
 def test_commands_that_exit_before_computing_never_load_numpy(
     tmp_path, argv, stdin, code, stdout, stderr
 ):
     # an expected text that ends a line (or is empty) is the whole stream;
-    # one that does not is a part of it: argparse prints usage before its
-    # error and words the choices per Python version
+    # one that does not is a part of it: argparse words the choices per
+    # Python version
     def matches(text, expected):
         return text == expected if expected == "" or expected.endswith("\n") else expected in text
 
@@ -1059,6 +1081,8 @@ def test_commands_that_exit_before_computing_never_load_numpy(
     proc, state = _run_entry(tmp_path, argv, stdin)
     assert proc.returncode == code
     assert matches(proc.stdout, stdout) and matches(proc.stderr, stderr)
+    if code == 2:  # every refusal is one line
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert not state["numpy"]
     # the entry freezes the heap whatever the exit code: finalization's
     # garbage collections skip frozen objects

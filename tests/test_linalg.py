@@ -8,19 +8,34 @@ from hypothesis import strategies as st
 from oracles import np_rank, random_hermitian, random_psd
 
 from qmarginals import (
+    DEFAULT_TOL,
     NoConvergence,
     NotHermitian,
+    ScalingConfig,
+    check_rank_bound,
+    check_tol,
+    choi_extremality,
     choi_state,
+    doubly_constrained_extremality,
     eigh,
     eigvalsh,
+    extremal_qubit_qutrit_map,
+    kraus_from_state,
     kron,
     matrix_from_json,
     matrix_to_json,
+    max_entangled_projector,
     numerical_rank,
     partial_transpose_b,
+    perturbation_freedom_dim,
+    ppt_check,
     random_kraus,
     rank_of_values,
     rank_with_margin,
+    sinkhorn_scale,
+    state_violations,
+    uniform_targets,
+    validate_state,
 )
 from qmarginals import DimensionMismatch
 from qmarginals.linalg import as_matrix, frobenius
@@ -333,3 +348,51 @@ ONE = [[1.0, 0.0]]
 def test_matrix_json_rejects_malformed(broken, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         matrix_from_json(broken)
+
+
+# ---------------------------------------------------------------------------
+# the one tolerance rule
+
+
+EXAMPLE_KRAUS = extremal_qubit_qutrit_map()
+EXAMPLE_STATE = choi_state(EXAMPLE_KRAUS)
+
+#: Each library entry point that takes a tolerance, called with ``tol``.  A
+#: tol of 1 or more would let ``ppt_check`` call the paper's entangled state
+#: separable.
+TOL_ENTRY_POINTS = {
+    "rank_of_values": lambda tol: rank_of_values(np.array([0.0, 1.0]), tol),
+    "rank_with_margin": lambda tol: rank_with_margin(np.eye(2), tol),
+    "numerical_rank": lambda tol: numerical_rank(np.eye(2), tol),
+    "eigh": lambda tol: eigh(np.eye(2), tol),
+    "eigvalsh": lambda tol: eigvalsh(np.eye(2), tol),
+    "validate_state": lambda tol: validate_state(np.diag([5.0, -3.0]), 1, 2, tol),
+    "state_violations": lambda tol: state_violations(np.diag([5.0, -3.0]), 1, 2, tol),
+    "max_entangled_projector": lambda tol: max_entangled_projector(np.eye(2), tol),
+    "ppt_check": lambda tol: ppt_check(EXAMPLE_STATE, tol),
+    "check_rank_bound": lambda tol: check_rank_bound(EXAMPLE_STATE, tol),
+    "perturbation_freedom_dim": lambda tol: perturbation_freedom_dim(EXAMPLE_STATE, tol),
+    "choi_state": lambda tol: choi_state(EXAMPLE_KRAUS, tol),
+    "kraus_from_state": lambda tol: kraus_from_state(EXAMPLE_STATE, tol),
+    "choi_extremality": lambda tol: choi_extremality(EXAMPLE_KRAUS, tol),
+    "doubly_constrained_extremality":
+        lambda tol: doubly_constrained_extremality(EXAMPLE_KRAUS, tol),
+    "sinkhorn_scale":
+        lambda tol: sinkhorn_scale(random_kraus(2, 3, 2, 0), uniform_targets(2, 3), tol),
+    "ScalingConfig": lambda tol: ScalingConfig(np.eye(3) / 3, np.eye(2) / 2, residual_tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0, 1.0, 10.0])
+@pytest.mark.parametrize("entry", TOL_ENTRY_POINTS)
+def test_every_entry_point_refuses_a_tolerance_outside_the_open_unit_interval(entry, tol):
+    with pytest.raises(ValueError, match=rf"^(residual_)?tol must lie in \(0, 1\), got {tol}$"):
+        TOL_ENTRY_POINTS[entry](tol)
+
+
+@pytest.mark.parametrize(
+    "tol", [1e-300, DEFAULT_TOL, 0.5, np.nextafter(1.0, 0.0), np.float64(0.25)]
+)
+def test_tolerances_inside_the_open_unit_interval_pass_unchanged(tol):
+    assert check_tol(tol) is tol
+    assert rank_of_values(np.array([0.0, 1.0]), tol).rank == 1

@@ -721,6 +721,17 @@ def test_find_extremal_candidate_rejects_infeasible_rank():
         find_extremal_candidate(2, 3, 4, UNIFORM_23, seed=0)
 
 
+def test_find_extremal_candidate_refuses_a_residual_tol_that_voids_its_state_check(monkeypatch):
+    # the candidate's state is checked at max(tol, 10 * residual_tol)
+    loose = ScalingConfig(UNIFORM_23.target_K, UNIFORM_23.target_L, residual_tol=0.05)
+    kmap, verdict, state = find_extremal_candidate(2, 3, 2, loose, seed=11)
+    assert (kmap.r, state.dim_a, state.dim_b) == (2, 2, 3)
+    too_loose = ScalingConfig(UNIFORM_23.target_K, UNIFORM_23.target_L, residual_tol=0.1)
+    monkeypatch.setattr(scaling, "sinkhorn_scale", None)  # refused before any scaling
+    with pytest.raises(ValueError, match=r"^10 \* residual_tol must lie in \(0, 1\), got 1.0$"):
+        find_extremal_candidate(2, 3, 2, too_loose, seed=11)
+
+
 def test_two_qubit_single_op_candidate_is_maximally_entangled():
     config = uniform_targets(2, 2)
     kmap, verdict, state = find_extremal_candidate(2, 2, 1, config, seed=3)
