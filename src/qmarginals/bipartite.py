@@ -185,10 +185,16 @@ def validate_state(mat, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) -> Bip
     violation; the exception's message includes every finding.  Use
     ``state_violations`` for the structured list without the raise.
     """
-    violations, state = _checked(as_matrix(mat), dim_a, dim_b, tol)
+    return _validated(as_matrix(mat), dim_a, dim_b, tol)
+
+
+def _validated(mat: np.ndarray, dim_a: int, dim_b: int, tol: float, prefix: str = ""):
+    """``validate_state`` of a converted matrix, ``prefix`` opening the
+    message of a refusal."""
+    violations, state = _checked(mat, dim_a, dim_b, tol)
     if state is not None:
         return state
-    summary = "; ".join(v.message for v in violations)
+    summary = prefix + "; ".join(v.message for v in violations)
     first = violations[0]
     if first.kind == "dimension":
         raise DimensionMismatch(summary)

@@ -519,11 +519,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=_count(1), required=True, help="number of operators")
     p.add_argument("--seed", type=_count(0), default=0)
     p.add_argument("--target-k", default=None, metavar="FILE",
-                   help="m x m target for sum V^dagger V (default identity/m); "
-                   "Frobenius norm at most about 1.3e154")
+                   help="m x m target for sum V^dagger V (default identity/m): a density "
+                   "matrix, Hermitian and positive with trace 1, each to 1e-12")
     p.add_argument("--target-l", default=None, metavar="FILE",
-                   help="n x n target for sum V V^dagger (default identity/n); "
-                   "Frobenius norm at most about 1.3e154")
+                   help="n x n target for sum V V^dagger (default identity/n): a density "
+                   "matrix, Hermitian and positive with trace 1, each to 1e-12")
     p.add_argument("--max-iter", type=_count(1), default=10000)
     p.add_argument("--tol", type=_parse_tol, default=1e-10,
                    help="residual tolerance (default: %(default)s), 0 < TOL < 1")

@@ -270,9 +270,9 @@ def matrix_to_json(mat: np.ndarray) -> dict:
 
 
 def is_positive_int(value) -> bool:
-    """Whether a parsed JSON value is a positive integer; JSON booleans,
-    which Python treats as ints, are not."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+    """Whether ``value`` is an integer of at least 1, Python or numpy;
+    booleans, which Python treats as ints, are not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and int(value) >= 1
 
 
 def _wire_fields(obj, kind: str, fields: Tuple[str, ...]) -> list:

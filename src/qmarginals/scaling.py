@@ -3,7 +3,8 @@ marginal sums.
 
 Each right half-step congruence-scales the family so that
 sum V^dagger V hits the target K exactly; each left half-step does the same
-for sum V V^dagger and L, disturbing the first sum a little.
+for sum V V^dagger and L, disturbing the first sum a little.  Both targets
+are states, checked to 1e-12 at construction of a ``ScalingConfig``.
 
 What is proven, and what is not.  For uniform targets and n = m, the
 iteration converges exactly when the map is rank non-decreasing (Gurvits,
@@ -50,21 +51,14 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import check_tol, sampling
-from .bipartite import BipartiteState
+from .bipartite import BipartiteState, _validated
 from .cpmaps import (
     ExtremalityReport,
     KrausMap,
     choi_state,
     doubly_constrained_extremality,
 )
-from .errors import (
-    DimensionMismatch,
-    InfeasibleRank,
-    NoConvergence,
-    NotPSD,
-    SingularScaling,
-    TraceNotOne,
-)
+from .errors import DimensionMismatch, InfeasibleRank, NoConvergence, SingularScaling
 from .linalg import DEFAULT_TOL, as_matrix, dagger, eigh, frobenius, is_positive_int
 
 
@@ -72,14 +66,15 @@ from .linalg import DEFAULT_TOL, as_matrix, dagger, eigh, frobenius, is_positive
 class ScalingConfig:
     """Targets and budget for the alternating scaling iteration.
 
-    Both targets must be PSD with unit trace (the marginals of any state
-    are), checked to 1e-12 at construction: ``TraceNotOne`` or ``NotPSD``
-    otherwise.  ``max_iter`` must be a positive integer and ``residual_tol``
-    must lie in (0, 1), the package's one tolerance rule (``check_tol``):
-    ``ValueError`` otherwise.
+    Each target must be square and a state (the marginals of any state
+    are), checked to 1e-12 at construction by ``validate_state``'s rule on
+    a (1, d) split: its first violation's error otherwise, named for the
+    target.  ``max_iter`` must be a positive integer, numpy's included, and
+    ``residual_tol`` must lie in (0, 1), the package's one tolerance rule
+    (``check_tol``): ``ValueError`` otherwise.
 
-    The eigendecomposition behind the PSD check is kept: each target's
-    spectrum, clipped at zero, and its principal square root, which
+    Each target's eigendecomposition (``eigh``) is kept: its spectrum,
+    clipped at zero, and its principal square root, which
     ``sinkhorn_scale`` reads instead of diagonalising the target again.
     """
 
@@ -98,19 +93,11 @@ class ScalingConfig:
         check_tol(self.residual_tol, "residual_tol")
         for side in ("K", "L"):
             name = f"target_{side}"
-            mat = as_matrix(getattr(self, name)).copy()
+            mat = as_matrix(getattr(self, name))
             if mat.shape[0] != mat.shape[1]:
                 raise DimensionMismatch(f"{name} must be square, got {mat.shape}")
-            trace = float(np.trace(mat).real)
-            if abs(trace - 1.0) > 1e-12:
-                raise TraceNotOne(f"{name} has trace {trace:.12g}, expected 1", trace=trace)
+            mat = _validated(mat, 1, len(mat), 1e-12, f"{name}: ").mat  # a read-only copy
             values, vectors = eigh(mat)
-            lam_min = float(values[0])
-            if lam_min < -1e-12:
-                raise NotPSD(
-                    f"{name} has eigenvalue {lam_min:.3e} below -1e-12",
-                    min_eigenvalue=lam_min,
-                )
             values = np.clip(values, 0.0, None)
             root = (vectors * np.sqrt(values)) @ dagger(vectors)
             kept = {name: mat, f"_spectrum_{side}": values, f"_root_{side}": root}
@@ -203,21 +190,28 @@ def _residuals(cols: np.ndarray, rows: np.ndarray, target_K, target_L) -> Tuple[
     return frobenius(gram_k), frobenius(gram_l)
 
 
+def _check_shapes(kmap: KrausMap, target_K: np.ndarray, target_L: np.ndarray) -> None:
+    """Refuse targets that do not fit the family: K must be m x m, L n x n."""
+    for name, target, dim in (("target_K", target_K, kmap.m), ("target_L", target_L, kmap.n)):
+        if target.shape != (dim, dim):
+            raise DimensionMismatch(f"{name} is {target.shape}, expected {(dim, dim)}")
+
+
+def _stacks(kmap: KrausMap) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A fresh C-contiguous ``(n, r, m)`` copy of the family, F[i, l] row i
+    of V_l, with its nr x m column stack and n x rm row stack, two views of
+    it: every write to a stack lands in the copy."""
+    family = kmap.ops.transpose(1, 0, 2).copy()
+    n, r, m = family.shape
+    return family, family.reshape(n * r, m), family.reshape(n, r * m)
+
+
 def residuals(kmap: KrausMap, target_K, target_L) -> Tuple[float, float]:
     """Frobenius distances (||sum V^dagger V - K||, ||sum V V^dagger - L||)."""
-    target_K = as_matrix(target_K)
-    target_L = as_matrix(target_L)
-    if target_K.shape != (kmap.m, kmap.m):
-        raise DimensionMismatch(
-            f"target_K is {target_K.shape}, expected ({kmap.m}, {kmap.m})"
-        )
-    if target_L.shape != (kmap.n, kmap.n):
-        raise DimensionMismatch(
-            f"target_L is {target_L.shape}, expected ({kmap.n}, {kmap.n})"
-        )
-    family = np.ascontiguousarray(kmap.ops.transpose(1, 0, 2))  # (n, r, m)
-    n, r, m = family.shape
-    return _residuals(family.reshape(n * r, m), family.reshape(n, r * m), target_K, target_L)
+    target_K, target_L = as_matrix(target_K), as_matrix(target_L)
+    _check_shapes(kmap, target_K, target_L)
+    _, cols, rows = _stacks(kmap)
+    return _residuals(cols, rows, target_K, target_L)
 
 
 def _support_mask(values: np.ndarray, largest: float, tol: float) -> np.ndarray:
@@ -285,21 +279,14 @@ def sinkhorn_scale(
     ``contraction_rate`` -- when the budget runs out.
     """
     check_tol(tol)
-    n, m, r = kmap.n, kmap.m, kmap.r
     target_K, target_L = config.target_K, config.target_L
-    if target_K.shape != (m, m) or target_L.shape != (n, n):
-        raise DimensionMismatch(
-            f"targets of shapes {target_K.shape}, {target_L.shape} do not match a "
-            f"({n}, {m}) family"
-        )
+    _check_shapes(kmap, target_K, target_L)
     sqrt_k, sqrt_l = config._root_K, config._root_L
     spectrum_k, spectrum_l = config._spectrum_K, config._spectrum_L
     rank_k = int(np.count_nonzero(_support_mask(spectrum_k, float(spectrum_k[-1]), tol)))
     rank_l = int(np.count_nonzero(_support_mask(spectrum_l, float(spectrum_l[-1]), tol)))
 
-    family = kmap.ops.transpose(1, 0, 2).copy()  # C-contiguous (n, r, m)
-    cols = family.reshape(n * r, m)  # views: every write lands in family
-    rows = family.reshape(n, r * m)
+    family, cols, rows = _stacks(kmap)
     res_k, res_l = _residuals(cols, rows, target_K, target_L)
     history = [(res_k, res_l)]
 
@@ -328,7 +315,7 @@ def sinkhorn_scale(
     # a NoConvergence traceback keeps this frame alive: keep only the
     # report's compact copy of the history, not the list of pairs
     del history
-    scaled = KrausMap(n, m, family.transpose(1, 0, 2))
+    scaled = KrausMap(kmap.n, kmap.m, family.transpose(1, 0, 2))
     if not converged:
         side = "sum V^dagger V" if res_k >= res_l else "sum V V^dagger"
         rate = report.contraction_rate

@@ -780,7 +780,25 @@ def test_sinkhorn_rejects_non_psd_target(tmp_path, capsys):
     target_l.write_text(json.dumps(matrix_to_json(np.diag([1.5, -0.5]))))
     argv = ["sinkhorn", "--n", "2", "--m", "3", "--r", "2", "--target-l", str(target_l)]
     assert main(argv) == 1
-    assert "target_L has eigenvalue" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: target_L: minimum eigenvalue -5.000e-01 below -1.581e-12\n"
+
+
+def test_sinkhorn_refuses_a_target_off_hermitian_before_scaling(tmp_path, capsys):
+    # 1e-9 from Hermitian, past the state rule's 1e-12: scaled, its residual
+    # would stay at 7.07e-10 for the whole 10,000-iteration budget
+    from qmarginals import matrix_to_json
+
+    target = np.eye(3, dtype=complex) / 3
+    target[0, 1] += 1e-9j
+    target_k = tmp_path / "k.json"
+    target_k.write_text(json.dumps(matrix_to_json(target)))
+    out = tmp_path / "scaled.json"
+    argv = ["sinkhorn", "--n", "2", "--m", "3", "--r", "2", "--target-k", str(target_k)]
+    assert main([*argv, "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: target_K: Hermiticity deviation 1.414e-09\n"
+    assert not out.exists()
 
 
 HUGE_INTEGERS = st.sampled_from([2**53 + 1, 10**20, 10**150, 10**200, 10**308, 10**309, 10**400]).flatmap(

@@ -38,7 +38,7 @@ from qmarginals import (
     validate_state,
 )
 from qmarginals import DimensionMismatch
-from qmarginals.linalg import as_matrix, frobenius
+from qmarginals.linalg import as_matrix, frobenius, is_positive_int
 
 
 def test_kron_identities():
@@ -348,6 +348,28 @@ ONE = [[1.0, 0.0]]
 def test_matrix_json_rejects_malformed(broken, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         matrix_from_json(broken)
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (1, True),
+        (100, True),
+        (np.int64(100), True),
+        (np.int32(1), True),
+        (np.uint64(7), True),
+        (0, False),
+        (np.int64(0), False),
+        (-3, False),
+        (True, False),
+        (np.bool_(True), False),
+        (2.0, False),
+        (np.float64(2.0), False),
+        ("3", False),
+    ],
+)
+def test_is_positive_int_takes_any_integer_type_but_no_boolean(value, expected):
+    assert is_positive_int(value) is expected
 
 
 # ---------------------------------------------------------------------------

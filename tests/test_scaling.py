@@ -14,6 +14,7 @@ from qmarginals import (
     InfeasibleRank,
     KrausMap,
     NoConvergence,
+    NotHermitian,
     NotPSD,
     ScalingConfig,
     ScalingReport,
@@ -60,13 +61,58 @@ def test_config_rejects_non_psd_targets():
         ScalingConfig(np.eye(3, dtype=complex) / 3, np.diag([1.25, -0.25]).astype(complex))
 
 
+def _skewed_uniform_k(skew):
+    """1_3/3 plus ``skew`` i at entry (0, 1): that far from Hermitian."""
+    target_k = np.eye(3, dtype=complex) / 3
+    target_k[0, 1] += 1j * skew
+    return target_k
+
+
+def test_config_refuses_a_target_off_hermitian_before_any_iteration():
+    # its Hermitian part converges in 55 iterations, but the residual of the
+    # target itself stays at 7.07e-10 for the whole 10,000-iteration budget
+    with pytest.raises(NotHermitian, match=r"^target_K: Hermiticity deviation 1\.414e-09$"):
+        ScalingConfig(_skewed_uniform_k(1e-9), np.eye(2) / 2)
+
+
+def test_config_accepts_a_target_within_the_state_rule_of_hermitian():
+    config = ScalingConfig(_skewed_uniform_k(1e-13), np.eye(2) / 2)
+    _, report = sinkhorn_scale(random_kraus(2, 3, 2, 0), config)
+    assert report.converged and report.iterations == 55
+
+
+def test_config_raises_the_state_rules_first_violation():
+    # off Hermitian and of trace 3: the Hermiticity error, naming both findings
+    with pytest.raises(NotHermitian, match=r"^target_L: Hermiticity deviation .*; trace is 3$"):
+        ScalingConfig(np.eye(3) / 3, np.array([[1.5, 1.0], [0.0, 1.5]]))
+    # not positive and of trace 2: the positivity error, carrying its eigenvalue
+    with pytest.raises(NotPSD, match=r"^target_K: minimum eigenvalue .*; trace is 2$") as info:
+        ScalingConfig(np.diag([2.5, -0.5]), np.eye(2) / 2)
+    assert info.value.min_eigenvalue == pytest.approx(-0.5)
+    with pytest.raises(TraceNotOne, match=r"^target_K: trace is 3$") as info:
+        ScalingConfig(np.eye(3), np.eye(2) / 2)
+    assert info.value.trace == pytest.approx(3.0)
+
+
+def test_config_refuses_a_target_whose_norm_overflows():
+    with pytest.raises(ValueError, match="^state_violations: the matrix's Frobenius norm overflows$"):
+        ScalingConfig(np.eye(3) / 3, np.array([[0.5, 1e200], [1e200, 0.5]]))
+
+
+@pytest.mark.parametrize("max_iter", [100, np.int64(100)])
+def test_config_accepts_max_iter_of_any_integer_type(max_iter):
+    config = ScalingConfig(UNIFORM_23.target_K, UNIFORM_23.target_L, max_iter=max_iter)
+    assert config.max_iter == 100
+    assert sinkhorn_scale(random_kraus(2, 3, 2, 0), config)[1].converged
+
+
 @pytest.mark.parametrize("residual_tol", [float("nan"), float("inf"), 0.0, -1e-10])
 def test_config_rejects_unusable_residual_tol(residual_tol):
     with pytest.raises(ValueError, match="residual_tol"):
         ScalingConfig(np.eye(3) / 3, np.eye(2) / 2, residual_tol=residual_tol)
 
 
-@pytest.mark.parametrize("max_iter", [0, -3, 2.5, True])
+@pytest.mark.parametrize("max_iter", [0, -3, 2.5, True, np.bool_(True), np.int64(0)])
 def test_config_rejects_non_positive_integer_max_iter(max_iter):
     with pytest.raises(ValueError, match="max_iter"):
         ScalingConfig(np.eye(3) / 3, np.eye(2) / 2, max_iter=max_iter)
@@ -79,7 +125,10 @@ def test_config_rejects_non_positive_integer_max_iter(max_iter):
         (lambda: ScalingConfig(np.eye(3) / 3, np.ones((2, 3)) / 2), "target_L must be square"),
         (lambda: residuals(random_kraus(2, 3, 2, 0), np.eye(2) / 2, np.eye(2) / 2), "target_K"),
         (lambda: residuals(random_kraus(2, 3, 2, 0), np.eye(3) / 3, np.eye(3) / 3), "target_L"),
-        (lambda: sinkhorn_scale(random_kraus(2, 3, 2, 0), uniform_targets(3, 3)), "(2, 3) family"),
+        (
+            lambda: sinkhorn_scale(random_kraus(2, 3, 2, 0), uniform_targets(3, 3)),
+            "target_L is (3, 3), expected (2, 2)",
+        ),
     ],
     ids=["config-K", "config-L", "residuals-K", "residuals-L", "sinkhorn"],
 )
