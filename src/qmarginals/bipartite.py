@@ -29,7 +29,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import check_tol, linalg, sampling
-from .errors import DimensionMismatch, NotHermitian, NotPSD, NotUnitary, TraceNotOne
+from .errors import DimensionMismatch, NotHermitian, NotPSD, TraceNotOne
 from .linalg import DEFAULT_TOL, as_matrix, dagger, eigh, eigvalsh, frobenius, numerical_rank
 
 #: Factor-dimension pairs where PPT is necessary *and sufficient* for
@@ -253,16 +253,8 @@ def max_entangled_projector(f_basis, tol: float = DEFAULT_TOL) -> BipartiteState
     """Rank-one projector onto (e_1 (x) f_1 + e_2 (x) f_2)/sqrt(2) in
     C^2 (x) C^2, where f_1, f_2 are the columns of the unitary ``f_basis``.
     Both marginals come out maximally mixed."""
-    check_tol(tol)
-    f = as_matrix(f_basis)
-    if f.shape != (2, 2):
-        raise DimensionMismatch(f"basis matrix must be 2x2, got {f.shape}")
-    if frobenius(dagger(f) @ f - np.eye(2)) > tol * max(1.0, frobenius(f)):
-        raise NotUnitary("basis columns are not orthonormal within tolerance")
-    vec = np.zeros(4, dtype=np.complex128)
-    vec[0:2] = f[:, 0]  # e_1 (x) f_1
-    vec[2:4] = f[:, 1]  # e_2 (x) f_2
-    vec /= np.sqrt(2.0)
+    f = linalg._unitary(f_basis, 2, tol, "basis matrix")
+    vec = f.T.ravel() / np.sqrt(2.0)  # (e_1 (x) f_1 + e_2 (x) f_2) / sqrt(2)
     return BipartiteState(2, 2, np.outer(vec, vec.conj()))
 
 

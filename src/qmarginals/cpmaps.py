@@ -28,7 +28,7 @@ import numpy as np
 from . import check_tol, linalg
 from .bipartite import BipartiteState, _support, validate_state
 from .errors import DimensionMismatch, TraceNotOne
-from .linalg import DEFAULT_TOL, RankDecision, as_matrix, dagger, rank_with_margin
+from .linalg import DEFAULT_TOL, RankDecision, as_matrix, rank_with_margin
 
 CRITERION_CHOI = "choi"
 CRITERION_LANDAU_STREATER = "landau_streater"
@@ -101,15 +101,12 @@ class ExtremalityReport:
 
 
 def apply(kmap: KrausMap, a) -> np.ndarray:
-    """Map value sum_l V_l^dagger A V_l (an m x m matrix).  Positive inputs
-    go to positive outputs."""
+    """Map value sum_l V_l^dagger A V_l (an m x m matrix), summed over the
+    family's ``(r, n, m)`` array.  Positive inputs go to positive outputs."""
     a = as_matrix(a)
     if a.shape != (kmap.n, kmap.n):
         raise DimensionMismatch(f"input is {a.shape}, expected ({kmap.n}, {kmap.n})")
-    out = np.zeros((kmap.m, kmap.m), dtype=np.complex128)
-    for op in kmap.ops:
-        out += dagger(op) @ a @ op
-    return out
+    return (kmap.ops.conj().transpose(0, 2, 1) @ a @ kmap.ops).sum(axis=0)
 
 
 def dual_apply(kmap: KrausMap, b) -> np.ndarray:
@@ -118,10 +115,7 @@ def dual_apply(kmap: KrausMap, b) -> np.ndarray:
     b = as_matrix(b)
     if b.shape != (kmap.m, kmap.m):
         raise DimensionMismatch(f"input is {b.shape}, expected ({kmap.m}, {kmap.m})")
-    out = np.zeros((kmap.n, kmap.n), dtype=np.complex128)
-    for op in kmap.ops:
-        out += op @ b @ dagger(op)
-    return out
+    return (kmap.ops @ b @ kmap.ops.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def marginal_K(kmap: KrausMap) -> np.ndarray:
@@ -162,7 +156,7 @@ def choi_state(kmap: KrausMap, tol: float = DEFAULT_TOL) -> BipartiteState:
     (equal to it whenever the operators are real).
     """
     check_tol(tol)
-    trace_k = float(np.real(sum(np.vdot(op, op) for op in kmap.ops)))
+    trace_k = float(np.vdot(kmap.ops, kmap.ops).real)
     if abs(trace_k - 1.0) > tol:
         raise TraceNotOne(
             f"sum of V^dagger V has trace {trace_k:.12g}, expected 1", trace=trace_k
@@ -225,12 +219,9 @@ def kraus_from_state(state: BipartiteState, tol: float = DEFAULT_TOL) -> KrausMa
     values, vectors = _support(state, tol)
     ops = []
     for value, vector in zip(values[::-1], vectors.T[::-1]):  # descending eigenvalue
-        w = np.sqrt(value) * vector
-        op = np.conj(w).reshape(state.dim_a, state.dim_b)
-        anchor = op.ravel()[int(np.argmax(np.abs(op)))]
-        if abs(anchor) > 0.0:
-            op = op * (abs(anchor) / anchor)
-        ops.append(op)
+        op = np.conj(np.sqrt(value) * vector).reshape(state.dim_a, state.dim_b)
+        anchor = op.ravel()[int(np.argmax(np.abs(op)))]  # nonzero: value > 0, ||vector|| = 1
+        ops.append(op * (abs(anchor) / anchor))
     return KrausMap(state.dim_a, state.dim_b, ops)
 
 
@@ -247,10 +238,10 @@ def extremal_qubit_qutrit_map() -> KrausMap:
 
 def mix_ops(kmap: KrausMap, unitary) -> KrausMap:
     """Replace V_l by sum_k u_lk V_k for an r x r unitary u.  Leaves the
-    composite state and both marginal sums unchanged."""
-    u = as_matrix(unitary)
-    if u.shape != (kmap.r, kmap.r):
-        raise DimensionMismatch(f"mixing matrix is {u.shape}, expected ({kmap.r}, {kmap.r})")
+    composite state and both marginal sums unchanged.  u must be unitary within
+    ``DEFAULT_TOL`` (``linalg._unitary``), else ``DimensionMismatch`` (another
+    shape) or ``NotUnitary`` is raised."""
+    u = linalg._unitary(unitary, kmap.r, DEFAULT_TOL, "mixing matrix")
     return KrausMap(kmap.n, kmap.m, np.einsum("lk,kij->lij", u, kmap.ops))
 
 

@@ -1,9 +1,10 @@
 """Dense complex matrix kernel.
 
 Everything downstream works with 2-D ``numpy.ndarray`` values of dtype
-complex128.  Numerical ranks and their margins come from one rule,
-``rank_of_values``, on ascending real values: a state's spectrum, or LAPACK
-singular values (``numpy.linalg.svd``) in ``rank_with_margin``.  Questions
+complex128.  Ranks with margins come from one rule, ``rank_of_values``:
+a state's spectrum, or LAPACK singular values in ``rank_with_margin``;
+Sinkhorn's support counts use ``tol * max(1, largest)`` instead
+(``scaling._support_mask``).  Questions
 that read eigenvalues only go to LAPACK (``numpy.linalg.eigvalsh``): a
 state's once, in its validity check, kept as ``BipartiteState.spectrum``;
 any other matrix, the partial transpose say, through ``eigvalsh``.
@@ -28,7 +29,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import DEFAULT_TOL, check_tol
-from .errors import DimensionMismatch, NoConvergence, NotHermitian
+from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotUnitary
 
 #: Sweep budget and relative off-diagonal termination threshold for Jacobi.
 JACOBI_MAX_SWEEPS = 100
@@ -214,6 +215,21 @@ def eigvalsh(h: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     herm, _ = _hermitian_part(h, tol, "eigvalsh")
     return np.linalg.eigvalsh(herm)
+
+
+def _unitary(value, size: int, tol: float, name: str) -> np.ndarray:
+    """The one unitarity rule: ``value`` as a size x size matrix u with
+    ||u^dagger u - 1||_F <= tol * max(1, ||u||_F), finite; else
+    ``DimensionMismatch`` or ``NotUnitary`` naming ``name``."""
+    check_tol(tol)
+    u = as_matrix(value)
+    if u.shape != (size, size):
+        raise DimensionMismatch(f"{name} is {u.shape}, expected ({size}, {size})")
+    with np.errstate(over="ignore", invalid="ignore"):
+        deviation, limit = frobenius(dagger(u) @ u - np.eye(size)), tol * max(1.0, frobenius(u))
+    if not deviation <= limit < math.inf:
+        raise NotUnitary(f"{name} deviates from unitary by {deviation:.3e} (limit {limit:.3e})")
+    return u
 
 
 class RankDecision(NamedTuple):

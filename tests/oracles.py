@@ -10,9 +10,12 @@ stack at once.
 The exceptions are ``np_rank``, since the package also counts singular
 values from LAPACK (rank checks that do not lean on the same routine live
 in ``test_properties.py`` and take their expected ranks from the
-construction), and ``sinkhorn_by_svd`` with its ``polar_by_mask``, a
+construction), ``sinkhorn_by_svd`` with its ``polar_by_mask``, a
 frozen copy of the package's earlier SVD loop that the current one must
-match bit for bit.
+match bit for bit, and ``apply_by_loop``, ``dual_apply_by_loop`` and
+``kraus_ops_by_loop``, frozen copies of the per-operator loops that the
+map's action and the Kraus recovery ran before they read the family as one
+array, which must match them bit for bit too.
 """
 
 import numpy as np
@@ -245,3 +248,35 @@ def extremality_rows_by_pairs(ops, both_sums):
                 row.append(np.ravel(vj @ vi.conj().T))
             rows.append(np.concatenate(row))
     return np.array(rows)
+
+
+def apply_by_loop(ops, a):
+    """sum_l V_l^dagger A V_l accumulated one operator at a time."""
+    out = np.zeros((ops[0].shape[1],) * 2, dtype=np.complex128)
+    for op in ops:
+        out += op.conj().T @ a @ op
+    return out
+
+
+def dual_apply_by_loop(ops, b):
+    """sum_l V_l B V_l^dagger accumulated one operator at a time."""
+    out = np.zeros((ops[0].shape[0],) * 2, dtype=np.complex128)
+    for op in ops:
+        out += op @ b @ op.conj().T
+    return out
+
+
+def kraus_ops_by_loop(values, vectors, n, m):
+    """Kraus operators from a state's support (ascending eigenvalues and
+    their eigenvector columns): one per value, in descending order, each
+    phased so its largest-magnitude entry is real positive, with the guard
+    for a zero anchor that the loop once carried."""
+    ops = []
+    for value, vector in zip(values[::-1], vectors.T[::-1]):
+        w = np.sqrt(value) * vector
+        op = np.conj(w).reshape(n, m)
+        anchor = op.ravel()[int(np.argmax(np.abs(op)))]
+        if abs(anchor) > 0.0:
+            op = op * (abs(anchor) / anchor)
+        ops.append(op)
+    return ops

@@ -1227,23 +1227,25 @@ def test_verify_state_one_dimensional_factor_is_separable(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# eigenvalue-only paths: LAPACK, never the Jacobi kernel
+# eigenvalue-only paths: eigenvalues from LAPACK, no eigenvector solve
 
 
-def test_eigenvalue_only_paths_never_reach_jacobi(
+def test_eigenvalue_only_paths_read_no_eigenvectors(
     monkeypatch, capsys, example_map, example_matrix, example_state_file
 ):
-    from qmarginals import bipartite, linalg
+    from qmarginals import bipartite, linalg, scaling
 
     state = validate_state(example_matrix, 2, 3)
     freedom = bipartite.perturbation_freedom_dim(state)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the Jacobi kernel was called")
+        raise AssertionError("eigh was called")
 
-    monkeypatch.setattr(linalg, "_jacobi_cyclic", refuse)
-    with pytest.raises(AssertionError, match="Jacobi"):
-        linalg.eigh(example_matrix)  # the patch is in effect
+    # every module that solves for eigenvectors looks ``eigh`` up by name
+    for module in (linalg, bipartite, scaling):
+        monkeypatch.setattr(module, "eigh", refuse)
+    with pytest.raises(AssertionError, match="eigh"):
+        bipartite.perturbation_freedom_dim(state)  # the patch is in effect
     assert state_violations(example_matrix, 2, 3) == []
     assert validate_state(example_matrix, 2, 3).dim_b == 3
     assert np.abs(choi_state(example_map).mat - example_matrix).max() < 1e-14

@@ -2,12 +2,20 @@ import re
 
 import numpy as np
 import pytest
-from oracles import choi_by_definition, np_rank, random_psd
+from oracles import (
+    apply_by_loop,
+    choi_by_definition,
+    dual_apply_by_loop,
+    kraus_ops_by_loop,
+    np_rank,
+    random_psd,
+)
 
 from qmarginals import (
     BipartiteState,
     DimensionMismatch,
     KrausMap,
+    NotUnitary,
     TraceNotOne,
     apply,
     choi_extremality,
@@ -29,7 +37,8 @@ from qmarginals import (
     sampling,
     validate_state,
 )
-from qmarginals.linalg import as_matrix
+from qmarginals.bipartite import _support
+from qmarginals.linalg import DEFAULT_TOL, as_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +352,37 @@ def test_mix_ops_leaves_state_and_verdicts_alone():
         assert choi_extremality(mixed).verdict == choi_extremality(kmap).verdict
 
 
-def test_mix_ops_rejects_wrong_size(example_map):
-    with pytest.raises(DimensionMismatch):
+@pytest.mark.parametrize(
+    "mixing, error",
+    [
+        pytest.param(np.eye(3), DimensionMismatch, id="wrong-size"),
+        pytest.param([[1.0, 1.0], [0.0, 1.0]], NotUnitary, id="shear"),
+        pytest.param(np.full((2, 2), 1.0 / np.sqrt(2.0)), NotUnitary, id="rank-one"),
+        pytest.param([[1e200, 0.0], [0.0, 1.0]], NotUnitary, id="overflowing-norm"),
+    ],
+)
+def test_mix_ops_rejects_wrong_size(example_map, mixing, error):
+    with pytest.raises(error, match="^mixing matrix "):
+        mix_ops(example_map, mixing)
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_mix_ops_accepts_haar_unitaries(r):
+    kmap = random_kraus(2, 3, r, r)
+    u = sampling.random_unitary(sampling.generator(200 + r), r)
+    expected = np.einsum("lk,kij->lij", u, kmap.ops)
+    assert np.array_equal(mix_ops(kmap, u).ops, expected)
+    nudged = u + 1e-12 * sampling.ginibre(sampling.generator(300 + r), r, r)
+    assert mix_ops(kmap, nudged).r == r
+
+
+def test_unitarity_rule_names_the_argument(example_map):
+    with pytest.raises(DimensionMismatch, match=re.escape("mixing matrix is (3, 3), expected (2, 2)")):
         mix_ops(example_map, np.eye(3))
+    with pytest.raises(NotUnitary, match="^basis matrix deviates from unitary by "):
+        max_entangled_projector([[1.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(DimensionMismatch, match=re.escape("basis matrix is (3, 3), expected (2, 2)")):
+        max_entangled_projector(np.eye(3))
 
 
 # ---------------------------------------------------------------------------
@@ -421,3 +458,26 @@ ONE_OP = [{"rows": 1, "cols": 1, "entries": [[1.0, 0.0]]}]
 def test_kraus_json_rejects_malformed(broken, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         kraus_from_json(broken)
+
+
+# ---------------------------------------------------------------------------
+# the array reads against the per-operator loops they replaced
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 2), (3, 3, 3), (4, 4, 4), (2, 4, 3), (3, 2, 5)])
+def test_array_reads_match_the_operator_loops_bit_for_bit(shape):
+    n, m, r = shape
+    for seed in range(40):  # 200 families over the five shapes
+        kmap = random_kraus(n, m, r, 1000 * n + 100 * m + 10 * r + seed)
+        rng = sampling.generator(seed)
+        a, b = sampling.ginibre(rng, n, n), sampling.ginibre(rng, m, m)
+        ops = list(kmap.ops)
+        assert np.array_equal(apply(kmap, a), apply_by_loop(ops, a))
+        assert np.array_equal(dual_apply(kmap, b), dual_apply_by_loop(ops, b))
+        assert np.array_equal(marginal_K(kmap), apply_by_loop(ops, np.eye(n)))
+        assert np.array_equal(marginal_L(kmap), dual_apply_by_loop(ops, np.eye(m)))
+        state = choi_state(kmap)
+        expected = kraus_ops_by_loop(*_support(state, DEFAULT_TOL), n, m)
+        recovered = kraus_from_state(state)
+        assert recovered.r == len(expected)
+        assert all(np.array_equal(mine, theirs) for mine, theirs in zip(recovered.ops, expected))
