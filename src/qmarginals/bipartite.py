@@ -12,25 +12,25 @@ the kernel dimension of the linear map taking a matrix X on the state's
 range to the two marginals of B X B^dagger, B an isometry onto that range
 (Landau-Streater).
 
-Each state has one spectrum, ``BipartiteState.spectrum``, the LAPACK
-eigenvalues that the positivity check of ``validate_state`` computes: the
-rank bound, the oracle's support and the Kraus recovery read it.  The
-partial-transpose spectrum goes through ``linalg.eigvalsh``.  The support
-basis reads eigenvectors and still comes from the Jacobi ``linalg.eigh``:
-its top eigenvectors, as many as ``linalg.rank_of_values`` counts on the
-spectrum.  This module has no cutoff of its own.
+A state comes only from ``validate_state`` and the package's factories and
+always carries its spectrum, ``BipartiteState.spectrum``: the LAPACK
+eigenvalues of the state rule's positivity check, which the rank bound, the
+oracle's support and the Kraus recovery read.  The partial-transpose
+spectrum goes through ``linalg.eigvalsh``.  The support basis reads
+eigenvectors, still from the Jacobi ``linalg.eigh``: its top eigenvectors,
+as many as ``linalg.rank_of_values`` counts on the spectrum.  This module
+has no cutoff of its own.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import check_tol, linalg, sampling
 from .errors import DimensionMismatch, NotHermitian, NotPSD, TraceNotOne
-from .linalg import DEFAULT_TOL, as_matrix, dagger, eigh, eigvalsh, frobenius, numerical_rank
+from .linalg import DEFAULT_TOL, as_matrix, eigh, eigvalsh, frobenius, numerical_rank
 
 #: Factor-dimension pairs where PPT is necessary *and sufficient* for
 #: separability, besides a 1-dimensional factor (every state a product).
@@ -41,42 +41,31 @@ VERDICT_ENTANGLED = "entangled"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class BipartiteState:
     """A density matrix on C^dim_a (x) C^dim_b.
 
-    Construct through ``validate_state`` (or the factories in this package),
-    which enforce Hermiticity, positivity and unit trace.  ``mat`` is stored
-    read-only; treat states as immutable values.  Two states are equal only
-    when they are the same object; compare ``mat`` to compare matrices.
+    Made only by ``validate_state`` and this package's factories, once the
+    state rule holds (calling the class or ``dataclasses.replace`` raises
+    ``TypeError``).  ``mat`` and its ascending ``spectrum`` are read-only.
+    Two states are equal only when they are the same object.
     """
 
     dim_a: int
     dim_b: int
     mat: np.ndarray
+    spectrum: np.ndarray
 
-    def __post_init__(self):
-        mat = as_matrix(self.mat)
-        d = self.dim_a * self.dim_b
-        if self.dim_a < 1 or self.dim_b < 1:
-            raise DimensionMismatch("factor dimensions must be positive")
-        if mat.shape != (d, d):
-            raise DimensionMismatch(
-                f"state matrix is {mat.shape}, expected {(d, d)} for dims "
-                f"({self.dim_a}, {self.dim_b})"
-            )
-        mat = mat.copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "mat", mat)
 
-    @cached_property
-    def spectrum(self) -> np.ndarray:
-        """Ascending ``numpy.linalg.eigvalsh`` of the Hermitian part of ``mat``,
-        read-only and solved at most once: ``validate_state`` hands over the
-        array of its positivity check.  Reading it checks nothing."""
-        values = np.linalg.eigvalsh(linalg._hermitian_split(self.mat)[0])
-        values.setflags(write=False)
-        return values
+def _state(dim_a: int, dim_b: int, mat: np.ndarray, spectrum: np.ndarray) -> BipartiteState:
+    """The one constructor: a state holding a read-only copy of the checked
+    ``mat`` and its ``spectrum``, frozen in place."""
+    mat = mat.copy()
+    mat.setflags(write=False)
+    spectrum.setflags(write=False)
+    state = object.__new__(BipartiteState)
+    vars(state).update(dim_a=dim_a, dim_b=dim_b, mat=mat, spectrum=spectrum)
+    return state
 
 
 @dataclass(frozen=True)
@@ -131,12 +120,14 @@ def _checked(
     mat: np.ndarray, dim_a: int, dim_b: int, tol: float
 ) -> Tuple[List[Violation], Optional[BipartiteState]]:
     """``state_violations`` of a matrix ``as_matrix`` has already converted
-    and, when there are none, the state wrapping it.
+    and, when there are none, the state made from it (``_state``).
 
     One Hermiticity pass (``linalg._hermitian_split``) gives the scale
     ``max(1, ||mat||_F)``, the deviation from Hermitian and the Hermitian
     part, whose LAPACK eigenvalues become the state's ``spectrum``."""
     check_tol(tol)
+    if dim_a < 1 or dim_b < 1:
+        return [Violation("dimension", "factor dimensions must be positive")], None
     d = dim_a * dim_b
     if mat.shape != (d, d):
         return [
@@ -171,10 +162,7 @@ def _checked(
         out.append(Violation("trace_not_one", f"trace is {trace.real:.12g}", trace.real))
     if out:
         return out, None
-    state = BipartiteState(dim_a, dim_b, mat)
-    spectrum.setflags(write=False)
-    object.__setattr__(state, "spectrum", spectrum)  # fills the cached property
-    return out, state
+    return out, _state(dim_a, dim_b, mat, spectrum)
 
 
 def validate_state(mat, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) -> BipartiteState:
@@ -251,11 +239,12 @@ def ppt_check(state: BipartiteState, tol: float = DEFAULT_TOL) -> PptReport:
 
 def max_entangled_projector(f_basis, tol: float = DEFAULT_TOL) -> BipartiteState:
     """Rank-one projector onto (e_1 (x) f_1 + e_2 (x) f_2)/sqrt(2) in
-    C^2 (x) C^2, where f_1, f_2 are the columns of the unitary ``f_basis``.
-    Both marginals come out maximally mixed."""
+    C^2 (x) C^2, where f_1, f_2 are the columns of the unitary ``f_basis``:
+    a state with both marginals maximally mixed."""
     f = linalg._unitary(f_basis, 2, tol, "basis matrix")
     vec = f.T.ravel() / np.sqrt(2.0)  # (e_1 (x) f_1 + e_2 (x) f_2) / sqrt(2)
-    return BipartiteState(2, 2, np.outer(vec, vec.conj()))
+    mat = np.outer(vec, vec.conj())
+    return _state(2, 2, mat, np.linalg.eigvalsh(linalg._hermitian_split(mat)[0]))
 
 
 def parthasarathy_bound(dim_a: int, dim_b: int) -> int:
@@ -298,8 +287,6 @@ def perturbation_freedom_dim(state: BipartiteState, tol: float = DEFAULT_TOL) ->
     """
     _, basis = _support(state, tol)
     r = basis.shape[1]
-    if r == 0:
-        return 0
     b = basis.reshape(state.dim_a, state.dim_b, r)
     to_a = np.einsum("ika,ilb->klab", b, b.conj()).reshape(-1, r * r)  # tr_A, m^2 rows
     to_b = np.einsum("ika,jkb->ijab", b, b.conj()).reshape(-1, r * r)  # tr_B, n^2 rows
@@ -314,6 +301,8 @@ def random_separable(dim_a: int, dim_b: int, k: int, seed: int) -> BipartiteStat
     Any k >= 1 is accepted; nothing ties the number of terms to the factor
     dimensions.
     """
+    if dim_a < 1 or dim_b < 1:
+        raise DimensionMismatch("factor dimensions must be positive")
     if k < 1:
         raise ValueError("need at least one product term")
     rng = sampling.generator(seed)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional
 
@@ -439,7 +440,12 @@ def cmd_demo(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Refuses with one ``error:`` line and exit 2, as ``main`` does."""
+    """Refuses with one ``error:`` line and exit 2, as ``main`` does, and
+    reads ``-1e-3``, ``-inf`` or ``-nan`` as a value, not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"error: {message}\n")

@@ -222,9 +222,10 @@ def _unitary(value, size: int, tol: float, name: str) -> np.ndarray:
     ||u^dagger u - 1||_F <= tol * max(1, ||u||_F), finite; else
     ``DimensionMismatch`` or ``NotUnitary`` naming ``name``."""
     check_tol(tol)
-    u = as_matrix(value)
+    u = np.asarray(value, dtype=np.complex128)
     if u.shape != (size, size):
         raise DimensionMismatch(f"{name} is {u.shape}, expected ({size}, {size})")
+    u = as_matrix(u)
     with np.errstate(over="ignore", invalid="ignore"):
         deviation, limit = frobenius(dagger(u) @ u - np.eye(size)), tol * max(1.0, frobenius(u))
     if not deviation <= limit < math.inf:

@@ -170,6 +170,8 @@ def random_kraus(n: int, m: int, r: int, seed: int) -> KrausMap:
     """``r`` seeded Ginibre operators of shape n x m, normalized globally so
     the trace of sum V^dagger V is exactly 1.  Bit-for-bit deterministic per
     seed."""
+    if n < 1 or m < 1:
+        raise DimensionMismatch("factor dimensions must be positive")
     if r < 1:
         raise ValueError("need at least one operator")
     rng = sampling.generator(seed)

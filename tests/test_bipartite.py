@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -181,18 +182,13 @@ def test_partial_transpose_of_product():
     assert np.abs(partial_transpose_b(state) - kron(a, b.T)).max() < 1e-14
 
 
-def test_partial_transpose_is_involution(example_state):
-    pt = partial_transpose_b(example_state)
-    again = partial_transpose_b(validate_state_like(pt, example_state))
-    assert np.array_equal(again, example_state.mat)
-
-
-def validate_state_like(mat, state):
-    # wrap a Hermitian unit-trace (not necessarily PSD) matrix for the
-    # transpose involution check without the positivity gate
-    from qmarginals import BipartiteState
-
-    return BipartiteState(state.dim_a, state.dim_b, mat)
+@pytest.mark.parametrize("seed", range(5))
+def test_partial_transpose_is_involution(seed):
+    # a separable state's partial transpose is a state, so it can be
+    # transposed again; the example's is not PSD and is refused
+    state = random_separable(2, 3, 3, seed)
+    again = partial_transpose_b(validate_state(partial_transpose_b(state), 2, 3))
+    assert np.array_equal(again, state.mat)
 
 
 def test_partial_transpose_matches_loop_oracle(example_state):
@@ -421,14 +417,41 @@ def test_rank_bound_and_oracle_count_one_spectrum_near_the_cutoff():
     assert 0 < above < 40
 
 
-@pytest.mark.parametrize("verdict", [ppt_check, perturbation_freedom_dim])
-def test_verdicts_refuse_state_with_overflowing_norm(verdict):
-    # BipartiteState takes library input unvalidated; its norm overflows
-    state = BipartiteState(2, 3, np.full((6, 6), 1e200))
+@pytest.mark.parametrize(
+    "mat, error, kind",
+    [
+        (np.zeros((6, 6)), TraceNotOne, "trace_not_one"),
+        (-np.eye(6) / 6, NotPSD, "not_psd"),
+        (np.full((6, 6), 1e200), ValueError, None),
+    ],
+    ids=["zero", "negative", "overflowing-norm"],
+)
+def test_non_states_get_a_refusal_not_a_verdict(example_state, mat, error, kind):
+    # a state exists only after the state rule has passed: no verdict can be
+    # asked of these matrices, which the rule refuses
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="norm overflows"):
-            verdict(state)
+        with pytest.raises(error):
+            validate_state(mat, 2, 3)
+        if kind is None:
+            with pytest.raises(ValueError, match="norm overflows"):
+                state_violations(mat, 2, 3)
+        else:
+            assert state_violations(mat, 2, 3)[0].kind == kind
+    with pytest.raises(TypeError):
+        BipartiteState(2, 3, mat)
+    with pytest.raises(TypeError):
+        dataclasses.replace(example_state, mat=mat)
+
+
+@pytest.mark.parametrize("dims", [(-1, -6), (0, 3), (2, 0), (-2, 3)])
+def test_non_positive_factor_dimensions_are_a_dimension_violation(dims):
+    mat = np.eye(6) / 6
+    assert [(v.kind, v.message) for v in state_violations(mat, *dims)] == [
+        ("dimension", "factor dimensions must be positive")
+    ]
+    with pytest.raises(DimensionMismatch, match="^factor dimensions must be positive$"):
+        validate_state(mat, *dims)
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +478,12 @@ def test_random_separable_always_ppt(seed):
 def test_random_separable_rejects_zero_terms():
     with pytest.raises(ValueError):
         random_separable(2, 3, 0, 1)
+
+
+@pytest.mark.parametrize("dims", [(0, 3), (2, 0), (-1, 3)])
+def test_random_separable_refuses_non_positive_dimensions_before_drawing(dims):
+    with pytest.raises(DimensionMismatch, match="^factor dimensions must be positive$"):
+        random_separable(*dims, 2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,7 @@ def test_choi_state_matches_definition_oracle():
 
 def test_choi_state_converts_its_matrix_once(monkeypatch):
     # KrausMap validated the operators; validate_state converts the composite
-    # matrix once and BipartiteState checks that array once more
+    # matrix once
     from qmarginals import bipartite, cpmaps, linalg
 
     kmap = random_kraus(2, 3, 2, 0)
@@ -148,7 +148,7 @@ def test_choi_state_converts_its_matrix_once(monkeypatch):
     for module in (linalg, bipartite, cpmaps):
         monkeypatch.setattr(module, "as_matrix", counting)
     assert np.array_equal(choi_state(kmap).mat, expected)
-    assert len(calls) <= 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -161,8 +161,11 @@ def test_choi_state_converts_its_matrix_once(monkeypatch):
     ],
     ids=["nan", "inf", "shape", "1-d"],
 )
-def test_direct_state_construction_still_checks_its_input(mat, error):
+def test_direct_state_construction_is_refused(mat, error):
+    # the state rule refuses the input, and no other way makes a state
     with pytest.raises(error):
+        validate_state(mat, 2, 3)
+    with pytest.raises(TypeError):
         BipartiteState(2, 3, mat)
 
 
@@ -383,6 +386,11 @@ def test_unitarity_rule_names_the_argument(example_map):
         max_entangled_projector([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(DimensionMismatch, match=re.escape("basis matrix is (3, 3), expected (2, 2)")):
         max_entangled_projector(np.eye(3))
+    # a value that is not 2-D is named too
+    with pytest.raises(DimensionMismatch, match=re.escape("mixing matrix is (2,), expected (2, 2)")):
+        mix_ops(example_map, [1, 0])
+    with pytest.raises(DimensionMismatch, match=re.escape("basis matrix is (2,), expected (2, 2)")):
+        max_entangled_projector([1, 0])
 
 
 # ---------------------------------------------------------------------------

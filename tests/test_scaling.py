@@ -141,12 +141,11 @@ def test_targets_of_other_shapes_raise_dimension_mismatch(call, message):
     "make",
     [
         extremal_qubit_qutrit_map,
-        lambda: choi_state(extremal_qubit_qutrit_map()),
         lambda: ppt_check(choi_state(extremal_qubit_qutrit_map())),
         lambda: ScalingConfig(np.eye(3) / 3, np.eye(2) / 2),
         lambda: sinkhorn_scale(random_kraus(2, 3, 2, 7), UNIFORM_23)[1],
     ],
-    ids=["KrausMap", "BipartiteState", "PptReport", "ScalingConfig", "ScalingReport"],
+    ids=["KrausMap", "PptReport", "ScalingConfig", "ScalingReport"],
 )
 def test_array_holding_values_compare_by_identity(make):
     first, second = make(), make()
@@ -160,6 +159,17 @@ def test_array_holding_values_compare_by_identity(make):
             assert np.array_equal(getattr(copy, name), value)
         else:
             assert getattr(copy, name) == value
+
+
+def test_state_compares_by_identity_and_is_never_copied_unchecked():
+    first, second = (choi_state(extremal_qubit_qutrit_map()) for _ in range(2))
+    assert first == first and first != second
+    assert len({first, second, first}) == 2 and hash(first) == hash(first)
+    # dataclasses.replace would build a state past the state rule
+    with pytest.raises(TypeError):
+        dataclasses.replace(first)
+    with pytest.raises(TypeError):
+        dataclasses.replace(first, mat=np.zeros((6, 6)))
 
 
 def test_extremality_report_compares_by_value():
@@ -193,6 +203,14 @@ def test_random_kraus_distinct_seeds_differ(pair):
 def test_random_kraus_rejects_zero_ops():
     with pytest.raises(ValueError):
         random_kraus(2, 3, 0, 1)
+
+
+@pytest.mark.parametrize("dims", [(0, 3), (2, 0), (-1, 3)])
+def test_random_kraus_refuses_non_positive_dimensions_before_drawing(dims):
+    # no draw, so no division by a zero total under the suite's
+    # error::RuntimeWarning filter
+    with pytest.raises(DimensionMismatch, match="^factor dimensions must be positive$"):
+        random_kraus(*dims, 2, 1)
 
 
 # ---------------------------------------------------------------------------
