@@ -17,9 +17,10 @@ always carries its spectrum, ``BipartiteState.spectrum``: the LAPACK
 eigenvalues of the state rule's positivity check, which the rank bound, the
 oracle's support and the Kraus recovery read.  The partial-transpose
 spectrum goes through ``linalg.eigvalsh``.  The support basis reads
-eigenvectors, still from the Jacobi ``linalg.eigh``: its top eigenvectors,
-as many as ``linalg.rank_of_values`` counts on the spectrum.  This module
-has no cutoff of its own.
+eigenvectors, still from the Jacobi ``linalg.eigh``, whose one caller is
+``_support`` here: its top eigenvectors, as many as
+``linalg.rank_of_values`` counts on the spectrum.  This module has no
+cutoff of its own.
 """
 
 import math

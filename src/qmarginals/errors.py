@@ -53,4 +53,5 @@ class SingularScaling(QMarginalsError):
 
 class InfeasibleRank(QMarginalsError):
     """The requested number of Kraus operators can never satisfy the
-    independence condition (r^2 exceeds m^2 + n^2)."""
+    independence condition (r exceeds the Parthasarathy bound, that is
+    r^2 >= n^2 + m^2)."""

@@ -25,12 +25,14 @@ B B^dagger = sum V V^dagger.  Each half-step writes the stack's polar
 factor on the support, read off one thin LAPACK SVD
 (``numpy.linalg.svd``), times the target root straight back into its view,
 so an iteration costs its two SVDs, a few small products and the two
-residuals, and allocates no new family.  A squared singular value counts
-as support when it exceeds ``tol * max(1, sigma_max^2)``, the rule applied
-to the eigenvalues of the targets.  The singular values come in descending
-order, so the smallest decides first: when it passes, as it does for every
-stack of full support, the thin factors are used as they are, and only a
-stack short of full support has its support counted.  The report's
+residuals, and allocates no new family; the residuals write the family's
+conjugate and their two Grams into buffers allocated once per run.  A
+squared singular value counts as support when it exceeds
+``tol * max(1, sigma_max^2)``, the rule applied to the eigenvalues of the
+targets.  The singular values come in descending order, so the smallest
+decides first: when it passes, as it does for every stack of full support,
+the thin factors are used as they are, and only a stack short of full
+support has its support counted, on that same SVD.  The report's
 ``contraction_rate``, the median ratio of successive worst residuals near
 the end of the history, says how fast a run was still closing in, and a
 budget-exhausted run names it together with the side further from its
@@ -38,7 +40,9 @@ target.
 
 Feeding converged candidates through the doubly-constrained extremality
 test is the search pipeline for new extreme points of fixed-marginals
-state sets (``find_extremal_candidate``).  ``uniform_targets`` builds the
+state sets (``find_extremal_candidate``).  Each ``ScalingConfig`` takes
+its targets' spectra and roots from LAPACK (``numpy.linalg.eigh``); this
+module calls no eigen-solver of ``linalg``.  ``uniform_targets`` builds the
 config of a shape once and returns that same frozen object afterwards, so
 a search over one shape diagonalises its targets once, not per candidate.
 """
@@ -46,12 +50,12 @@ a search over one shape diagonalises its targets once, not per candidate.
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from . import check_tol, sampling
-from .bipartite import BipartiteState, _validated
+from .bipartite import BipartiteState, _validated, parthasarathy_bound
 from .cpmaps import (
     ExtremalityReport,
     KrausMap,
@@ -59,7 +63,7 @@ from .cpmaps import (
     doubly_constrained_extremality,
 )
 from .errors import DimensionMismatch, InfeasibleRank, NoConvergence, SingularScaling
-from .linalg import DEFAULT_TOL, as_matrix, dagger, eigh, frobenius, is_positive_int
+from .linalg import DEFAULT_TOL, _hermitian_split, as_matrix, dagger, is_positive_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +77,8 @@ class ScalingConfig:
     ``residual_tol`` must lie in (0, 1), the package's one tolerance rule
     (``check_tol``): ``ValueError`` otherwise.
 
-    Each target's eigendecomposition (``eigh``) is kept: its spectrum,
+    Each target's Hermitian part is diagonalised once, by LAPACK
+    (``numpy.linalg.eigh``), and two results are kept: its spectrum,
     clipped at zero, and its principal square root, which
     ``sinkhorn_scale`` reads instead of diagonalising the target again.
     """
@@ -97,7 +102,7 @@ class ScalingConfig:
             if mat.shape[0] != mat.shape[1]:
                 raise DimensionMismatch(f"{name} must be square, got {mat.shape}")
             mat = _validated(mat, 1, len(mat), 1e-12, f"{name}: ").mat  # a read-only copy
-            values, vectors = eigh(mat)
+            values, vectors = np.linalg.eigh(_hermitian_split(mat)[0])
             values = np.clip(values, 0.0, None)
             root = (vectors * np.sqrt(values)) @ dagger(vectors)
             kept = {name: mat, f"_spectrum_{side}": values, f"_root_{side}": root}
@@ -181,15 +186,34 @@ def random_kraus(n: int, m: int, r: int, seed: int) -> KrausMap:
     return KrausMap(n, m, [op * scale for op in ops])
 
 
-def _residuals(cols: np.ndarray, rows: np.ndarray, target_K, target_L) -> Tuple[float, float]:
-    """Residuals of a family given as its nr x m column stack A, with
-    sum V^dagger V = A^dagger A, and its n x rm row stack B, with
-    sum V V^dagger = B B^dagger."""
-    gram_k = dagger(cols).dot(cols)
-    gram_k -= target_K
-    gram_l = rows.dot(dagger(rows))
-    gram_l -= target_L
-    return frobenius(gram_k), frobenius(gram_l)
+def _residual_meter(
+    family: np.ndarray, target_K: np.ndarray, target_L: np.ndarray
+) -> Callable[[], Tuple[float, float]]:
+    """A function returning the residuals of the ``(n, r, m)`` buffer
+    ``family`` as it stands when called, from its ``_stacks`` A and B.  The
+    conjugate of the family and the two Grams are written into buffers
+    allocated here, once; each residual is ``linalg.frobenius``'s
+    arithmetic, sqrt(re . re + im . im) over the flattened Gram, so the
+    values are identical to it."""
+    cols, rows = _stacks(family)
+    conj = np.empty_like(family)
+    conj_cols, conj_rows = (stack.T for stack in _stacks(conj))
+    n, _, m = family.shape
+    gram_k = np.empty((m, m), dtype=np.complex128)
+    gram_l = np.empty((n, n), dtype=np.complex128)
+    re_k, im_k = gram_k.ravel().real, gram_k.ravel().imag
+    re_l, im_l = gram_l.ravel().real, gram_l.ravel().imag
+
+    def measure() -> Tuple[float, float]:
+        np.conjugate(family, out=conj)
+        conj_cols.dot(cols, out=gram_k)
+        np.subtract(gram_k, target_K, out=gram_k)
+        rows.dot(conj_rows, out=gram_l)
+        np.subtract(gram_l, target_L, out=gram_l)
+        res_k = math.sqrt(re_k.dot(re_k) + im_k.dot(im_k))
+        return res_k, math.sqrt(re_l.dot(re_l) + im_l.dot(im_l))
+
+    return measure
 
 
 def _check_shapes(kmap: KrausMap, target_K: np.ndarray, target_L: np.ndarray) -> None:
@@ -199,21 +223,26 @@ def _check_shapes(kmap: KrausMap, target_K: np.ndarray, target_L: np.ndarray) ->
             raise DimensionMismatch(f"{name} is {target.shape}, expected {(dim, dim)}")
 
 
-def _stacks(kmap: KrausMap) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _family(kmap: KrausMap) -> np.ndarray:
     """A fresh C-contiguous ``(n, r, m)`` copy of the family, F[i, l] row i
-    of V_l, with its nr x m column stack and n x rm row stack, two views of
-    it: every write to a stack lands in the copy."""
-    family = kmap.ops.transpose(1, 0, 2).copy()
+    of V_l."""
+    return kmap.ops.transpose(1, 0, 2).copy()
+
+
+def _stacks(family: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The nr x m column stack A, with A^dagger A = sum V^dagger V, and the
+    n x rm row stack B, with B B^dagger = sum V V^dagger, of a C-contiguous
+    ``(n, r, m)`` family: two views of it, so every write to a stack lands
+    in ``family``."""
     n, r, m = family.shape
-    return family, family.reshape(n * r, m), family.reshape(n, r * m)
+    return family.reshape(n * r, m), family.reshape(n, r * m)
 
 
 def residuals(kmap: KrausMap, target_K, target_L) -> Tuple[float, float]:
     """Frobenius distances (||sum V^dagger V - K||, ||sum V V^dagger - L||)."""
     target_K, target_L = as_matrix(target_K), as_matrix(target_L)
     _check_shapes(kmap, target_K, target_L)
-    _, cols, rows = _stacks(kmap)
-    return _residuals(cols, rows, target_K, target_L)
+    return _residual_meter(_family(kmap), target_K, target_L)()
 
 
 def _support_mask(values: np.ndarray, largest: float, tol: float) -> np.ndarray:
@@ -266,7 +295,9 @@ def sinkhorn_scale(
     on the support without forming either.  An iteration is thus two thin
     SVDs, two small products per half-step and the two residuals; every
     product is ``ndarray.dot``, the same BLAS call as ``@`` and bit-identical
-    to it, with less call overhead.  Support is decided on the squared
+    to it, with less call overhead.  The residuals write the family's
+    conjugate and their two Grams into buffers allocated once per run
+    (``_residual_meter``).  Support is decided on the squared
     singular values (``_polar_on_support``), by
     ``sigma^2 > tol * max(1, sigma_max^2)``.  The residual pairs are
     appended to a list, so a large ``max_iter`` costs nothing up front, and
@@ -288,8 +319,10 @@ def sinkhorn_scale(
     rank_k = int(np.count_nonzero(_support_mask(spectrum_k, float(spectrum_k[-1]), tol)))
     rank_l = int(np.count_nonzero(_support_mask(spectrum_l, float(spectrum_l[-1]), tol)))
 
-    family, cols, rows = _stacks(kmap)
-    res_k, res_l = _residuals(cols, rows, target_K, target_L)
+    family = _family(kmap)
+    cols, rows = _stacks(family)
+    measure = _residual_meter(family, target_K, target_L)
+    res_k, res_l = measure()
     history = [(res_k, res_l)]
 
     iterations = 0
@@ -309,14 +342,15 @@ def sinkhorn_scale(
         sqrt_l.dot(u.dot(vh), out=rows)
 
         iterations += 1
-        res_k, res_l = _residuals(cols, rows, target_K, target_L)
+        res_k, res_l = measure()
         history.append((res_k, res_l))
 
     converged = max(res_k, res_l) <= config.residual_tol
     report = ScalingReport(iterations, res_k, res_l, converged, history)
     # a NoConvergence traceback keeps this frame alive: keep only the
-    # report's compact copy of the history, not the list of pairs
-    del history
+    # report's compact copy of the history, not the list of pairs, and
+    # drop the residual buffers
+    del history, measure
     scaled = KrausMap(kmap.n, kmap.m, family.transpose(1, 0, 2))
     if not converged:
         side = "sum V^dagger V" if res_k >= res_l else "sum V V^dagger"
@@ -343,7 +377,9 @@ def find_extremal_candidate(
     """Search pipeline: seeded random family -> scaling to the target
     marginals -> doubly-constrained extremality test -> composite state.
 
-    Rejects r with r^2 > n^2 + m^2 up front (``InfeasibleRank``): the
+    Rejects r above ``parthasarathy_bound(n, m)``, that is r^2 >= n^2 + m^2,
+    up front (``InfeasibleRank``): the r^2 Landau-Streater rows satisfy one
+    trace relation, so they span at most n^2 + m^2 - 1 dimensions and the
     independence test can never pass there.  The composite state is checked
     at ``max(tol, 10 * residual_tol)``, looser than ``tol`` because the
     scaled marginals are only within ``residual_tol`` of their targets; so a
@@ -352,9 +388,10 @@ def find_extremal_candidate(
     Scaling failures propagate.
     """
     state_tol = check_tol(10.0 * config.residual_tol, "10 * residual_tol")
-    if r * r > n * n + m * m:
+    bound = parthasarathy_bound(n, m)
+    if r > bound:
         raise InfeasibleRank(
-            f"r^2 = {r * r} exceeds n^2 + m^2 = {n * n + m * m}; "
+            f"r = {r} exceeds the Parthasarathy bound {bound} of ({n}, {m}); "
             "no such family can be independent"
         )
     scaled, report = sinkhorn_scale(random_kraus(n, m, r, seed), config, tol)

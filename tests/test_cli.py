@@ -1223,7 +1223,7 @@ def test_verify_state_one_dimensional_factor_is_separable(tmp_path, capsys):
 def test_eigenvalue_only_paths_read_no_eigenvectors(
     monkeypatch, capsys, example_map, example_matrix, example_state_file
 ):
-    from qmarginals import bipartite, linalg, scaling
+    from qmarginals import bipartite, linalg
 
     state = validate_state(example_matrix, 2, 3)
     freedom = bipartite.perturbation_freedom_dim(state)
@@ -1231,8 +1231,8 @@ def test_eigenvalue_only_paths_read_no_eigenvectors(
     def refuse(*args, **kwargs):
         raise AssertionError("eigh was called")
 
-    # every module that solves for eigenvectors looks ``eigh`` up by name
-    for module in (linalg, bipartite, scaling):
+    # ``bipartite._support`` is the one caller of ``eigh``; it looks it up by name
+    for module in (linalg, bipartite):
         monkeypatch.setattr(module, "eigh", refuse)
     with pytest.raises(AssertionError, match="eigh"):
         bipartite.perturbation_freedom_dim(state)  # the patch is in effect

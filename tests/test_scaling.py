@@ -605,10 +605,12 @@ def test_sinkhorn_scale_makes_no_eigh_call(monkeypatch, skewed):
     def refuse(*args, **kwargs):
         raise AssertionError("eigh called after the config was built")
 
-    monkeypatch.setattr(scaling, "eigh", refuse)
-    monkeypatch.setattr(linalg, "eigh", refuse)
     kmap = random_kraus(2, 3, 2, 3)
-    kind, iterations, family = _outcome(kmap, config)
+    # neither the package's Jacobi nor LAPACK's; the reference below uses the latter
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "eigh", refuse)
+        patch.setattr(np.linalg, "eigh", refuse)
+        kind, iterations, family = _outcome(kmap, config)
     ref_kind, ref_iterations, ref_ops = sinkhorn_by_eigh(kmap.ops, target_k, target_l, 500)
     assert kind == ref_kind == "converged"
     assert iterations == ref_iterations
@@ -752,6 +754,31 @@ def test_in_place_loop_matches_frozen_svd_loop(shape, targets, seed):
     assert np.array_equal(report.history, ref_history)
 
 
+@pytest.mark.parametrize("targets", ["uniform", "rank_deficient_k"])
+def test_each_half_step_solves_one_svd(monkeypatch, targets):
+    # the rank-deficient K leaves the column stack short of full support
+    # after the first right step, so the support prefix is cut on that path
+    n, m, r = 2, 3, 2
+    if targets == "rank_deficient_k":
+        target_k, target_l = _rank_deficient_targets(n, m, r, 0)
+    else:
+        target_k, target_l = _targets(n, m, False, 0)
+    config = ScalingConfig(target_k, target_l, max_iter=500)
+    svd = np.linalg.svd
+    short = []
+
+    def counting(*args, **kwargs):
+        u, sigmas, vh = svd(*args, **kwargs)
+        short.append(sigmas[-1] ** 2 <= 1e-8 * max(1.0, sigmas[0] ** 2))
+        return u, sigmas, vh
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    _, report = sinkhorn_scale(random_kraus(n, m, r, 0), config)
+    assert report.iterations > 1
+    assert len(short) == 2 * report.iterations
+    assert any(short) == (targets == "rank_deficient_k")
+
+
 @st.composite
 def short_families(draw):
     """(n, m, r) with r n < m: sum V^dagger V has rank below m."""
@@ -786,6 +813,31 @@ def test_find_extremal_candidate_produces_extreme_state(example_matrix):
 def test_find_extremal_candidate_rejects_infeasible_rank():
     with pytest.raises(InfeasibleRank):
         find_extremal_candidate(2, 3, 4, UNIFORM_23, seed=0)
+
+
+def test_find_extremal_candidate_rejects_rank_at_the_trace_relation(monkeypatch):
+    # r^2 = n^2 + m^2: the 25 rows span at most 24 dimensions, one above
+    # parthasarathy_bound(3, 4) = 4
+    monkeypatch.setattr(scaling, "sinkhorn_scale", None)  # refused before any scaling
+    refusal = r"^r = 5 exceeds the Parthasarathy bound 4 of \(3, 4\)"
+    with pytest.raises(InfeasibleRank, match=refusal):
+        find_extremal_candidate(3, 4, 5, uniform_targets(3, 4), seed=0)
+
+
+def test_candidate_search_toward_skewed_targets_runs_no_jacobi(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Jacobi eigh was called")
+
+    # ``linalg.eigh`` and its kernel, which any module holding ``eigh`` reaches
+    monkeypatch.setattr(linalg, "eigh", refuse)
+    monkeypatch.setattr(linalg, "_jacobi_cyclic", refuse)
+    target_k, target_l = _targets(2, 3, True, seed=3)
+    config = ScalingConfig(target_k, target_l, max_iter=500)
+    for target, root in ((target_k, config._root_K), (target_l, config._root_L)):
+        assert np.abs(root @ root - target).max() <= 1e-14
+    kmap, verdict, state = find_extremal_candidate(2, 3, 2, config, seed=0)
+    assert verdict.verdict
+    assert np.abs(partial_trace_a(state) - target_k).max() <= 1e-9
 
 
 def test_find_extremal_candidate_refuses_a_residual_tol_that_voids_its_state_check(monkeypatch):
