@@ -12,15 +12,13 @@ the kernel dimension of the linear map taking a matrix X on the state's
 range to the two marginals of B X B^dagger, B an isometry onto that range
 (Landau-Streater).
 
-A state comes only from ``validate_state`` and the package's factories and
-always carries its spectrum, ``BipartiteState.spectrum``: the LAPACK
-eigenvalues of the state rule's positivity check, which the rank bound, the
-oracle's support and the Kraus recovery read.  The partial-transpose
-spectrum goes through ``linalg.eigvalsh``.  The support basis reads
-eigenvectors, still from the Jacobi ``linalg.eigh``, whose one caller is
-``_support`` here: its top eigenvectors, as many as
-``linalg.rank_of_values`` counts on the spectrum.  This module has no
-cutoff of its own.
+A state comes only from the state rule, ``_checked``, which every factory
+here and in ``cpmaps`` goes through, and always carries its spectrum,
+``BipartiteState.spectrum``: the LAPACK eigenvalues of the rule's
+positivity check, which the rank bound, the oracle's support and the Kraus
+recovery read.  The partial-transpose spectrum goes through
+``linalg.eigvalsh`` and the support basis through ``linalg.eigh``
+(``_support``); this module has no cutoff of its own.
 """
 
 import math
@@ -46,9 +44,10 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 class BipartiteState:
     """A density matrix on C^dim_a (x) C^dim_b.
 
-    Made only by ``validate_state`` and this package's factories, once the
-    state rule holds (calling the class or ``dataclasses.replace`` raises
-    ``TypeError``).  ``mat`` and its ascending ``spectrum`` are read-only.
+    Made only by the state rule (``_checked``), once the matrix passes it:
+    ``validate_state`` and every factory of the package go through that
+    rule, and calling the class or ``dataclasses.replace`` raises
+    ``TypeError``.  ``mat`` and its ascending ``spectrum`` are read-only.
     Two states are equal only when they are the same object.
     """
 
@@ -56,17 +55,6 @@ class BipartiteState:
     dim_b: int
     mat: np.ndarray
     spectrum: np.ndarray
-
-
-def _state(dim_a: int, dim_b: int, mat: np.ndarray, spectrum: np.ndarray) -> BipartiteState:
-    """The one constructor: a state holding a read-only copy of the checked
-    ``mat`` and its ``spectrum``, frozen in place."""
-    mat = mat.copy()
-    mat.setflags(write=False)
-    spectrum.setflags(write=False)
-    state = object.__new__(BipartiteState)
-    vars(state).update(dim_a=dim_a, dim_b=dim_b, mat=mat, spectrum=spectrum)
-    return state
 
 
 @dataclass(frozen=True)
@@ -121,11 +109,13 @@ def _checked(
     mat: np.ndarray, dim_a: int, dim_b: int, tol: float
 ) -> Tuple[List[Violation], Optional[BipartiteState]]:
     """``state_violations`` of a matrix ``as_matrix`` has already converted
-    and, when there are none, the state made from it (``_state``).
+    and, when there are none, the state made from it: the only code that
+    makes a ``BipartiteState``, holding a read-only copy of ``mat``.
 
     One Hermiticity pass (``linalg._hermitian_split``) gives the scale
     ``max(1, ||mat||_F)``, the deviation from Hermitian and the Hermitian
-    part, whose LAPACK eigenvalues become the state's ``spectrum``."""
+    part, whose LAPACK eigenvalues become the state's read-only
+    ``spectrum``."""
     check_tol(tol)
     if dim_a < 1 or dim_b < 1:
         return [Violation("dimension", "factor dimensions must be positive")], None
@@ -163,7 +153,12 @@ def _checked(
         out.append(Violation("trace_not_one", f"trace is {trace.real:.12g}", trace.real))
     if out:
         return out, None
-    return out, _state(dim_a, dim_b, mat, spectrum)
+    mat = mat.copy()
+    mat.setflags(write=False)
+    spectrum.setflags(write=False)
+    state = object.__new__(BipartiteState)
+    vars(state).update(dim_a=dim_a, dim_b=dim_b, mat=mat, spectrum=spectrum)
+    return out, state
 
 
 def validate_state(mat, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) -> BipartiteState:
@@ -241,11 +236,12 @@ def ppt_check(state: BipartiteState, tol: float = DEFAULT_TOL) -> PptReport:
 def max_entangled_projector(f_basis, tol: float = DEFAULT_TOL) -> BipartiteState:
     """Rank-one projector onto (e_1 (x) f_1 + e_2 (x) f_2)/sqrt(2) in
     C^2 (x) C^2, where f_1, f_2 are the columns of the unitary ``f_basis``:
-    a state with both marginals maximally mixed."""
+    a state with both marginals maximally mixed, made by the state rule at
+    ``tol`` (``TraceNotOne`` for a basis so near the unitarity limit that
+    the trace strays past ``tol``)."""
     f = linalg._unitary(f_basis, 2, tol, "basis matrix")
     vec = f.T.ravel() / np.sqrt(2.0)  # (e_1 (x) f_1 + e_2 (x) f_2) / sqrt(2)
-    mat = np.outer(vec, vec.conj())
-    return _state(2, 2, mat, np.linalg.eigvalsh(linalg._hermitian_split(mat)[0]))
+    return _validated(np.outer(vec, vec.conj()), 2, 2, tol)
 
 
 def parthasarathy_bound(dim_a: int, dim_b: int) -> int:

@@ -10,7 +10,8 @@ Subcommands wire the library together around JSON files:
 * ``choi`` / ``kraus`` - convert between Kraus families and composite
   states (inverse directions of the same correspondence).
 * ``extremal-check`` - both linear-independence criteria and the
-  perturbation oracle for a Kraus file.
+  perturbation oracle for a Kraus file; exits 0 only when the
+  two-marginal criterion and the oracle both find the family extreme.
 * ``sinkhorn``       - scale a seeded random family toward target marginals
   and emit the family plus the iteration report.
 * ``demo``           - replay the bundled qubit-qutrit extremal example and
@@ -142,7 +143,6 @@ def _analyze_state(
     """The report ``verify-state`` prints for a valid state, and whose
     verdicts ``demo`` checks."""
     decision = qm.linalg.rank_of_values(state.spectrum, tol)
-    bound = qm.bipartite.parthasarathy_bound(state.dim_a, state.dim_b)
     freedom = qm.bipartite.perturbation_freedom_dim(state, tol)
     report = {
         "marginal_a": qm.linalg.matrix_to_json(qm.bipartite.partial_trace_b(state)),
@@ -153,7 +153,10 @@ def _analyze_state(
             "smallest_retained": decision.smallest_retained,
             "largest_discarded": decision.largest_discarded,
         },
-        "rank_bound": {"bound": bound, "within_bound": decision.rank <= bound},
+        "rank_bound": {
+            "bound": qm.bipartite.parthasarathy_bound(state.dim_a, state.dim_b),
+            "within_bound": qm.bipartite.check_rank_bound(state, tol),
+        },
         "ppt": qm.bipartite.ppt_check(state, tol).to_json(),
         "perturbation_freedom": freedom,
         "extreme_in_marginal_set": freedom == 0,
@@ -308,7 +311,7 @@ def cmd_extremal_check(args) -> int:
         )
 
     _emit(report, args.json, render)
-    return EXIT_OK if double.verdict else EXIT_FAIL
+    return EXIT_OK if double.verdict and freedom == 0 else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------

@@ -3,28 +3,21 @@
 Everything downstream works with 2-D ``numpy.ndarray`` values of dtype
 complex128.  Ranks with margins come from one rule, ``rank_of_values``:
 a state's spectrum, or LAPACK singular values in ``rank_with_margin``;
-Sinkhorn's support counts use ``tol * max(1, largest)`` instead
-(``scaling._support_mask``).  Questions
-that read eigenvalues only go to LAPACK (``numpy.linalg.eigvalsh``): a
-state's once, in its validity check, kept as ``BipartiteState.spectrum``;
-any other matrix, the partial transpose say, through ``eigvalsh``.
-A state's support basis comes from ``eigh``, a single pure-Python cyclic
-Jacobi kernel, due to become ``numpy.linalg.eigh``: it is deterministic for
-a fixed input and its rotation count is easy to audit, but every rotation
-is a few numpy calls: a 256 x 256 state takes about 9 s on a 2-core host.
-Its one caller is
-``bipartite._support``; the Sinkhorn targets' roots come from LAPACK
-(``numpy.linalg.eigh``) in ``scaling.ScalingConfig``.  ``eigh`` and
-``eigvalsh`` share one input contract (``_hermitian_part``),
-built on a non-raising core (``_hermitian_split``) that the state validator
-reads too, so a state's Hermiticity is checked once.  ``frobenius`` applies
-the formula of ``numpy.linalg.norm`` without its argument handling.
+Sinkhorn's support counts use ``DEFAULT_TOL * max(1, largest)`` instead
+(``scaling._support_mask``).  Which eigen-solver answers which question
+is said once, at ``eigvalsh`` (eigenvalues only, LAPACK) and ``eigh``
+(eigenvectors, Jacobi).  The two share one input contract
+(``_hermitian_part``), built on a non-raising core (``_hermitian_split``)
+that the state validator reads too, so a state's Hermiticity is checked
+once.  ``frobenius`` applies the formula of ``numpy.linalg.norm`` without
+its argument handling.
 
-All tolerances are relative and flow in as parameters; ``DEFAULT_TOL`` is the
-single documented default.  It is defined in the package root, where the CLI
-reads it without numpy, and re-exported here.  Every tolerance obeys the
-package's one rule (``check_tol``: 0 < tol < 1), which ``_hermitian_part``
-and ``rank_of_values`` apply.
+All tolerances are relative and flow in as parameters, except the Sinkhorn
+search's, which is ``DEFAULT_TOL``, the single documented default.  It is
+defined in the package root, where the CLI reads it without numpy, and
+re-exported here.  Every tolerance obeys the package's one rule
+(``check_tol``: 0 < tol < 1), which ``_hermitian_part`` and
+``rank_of_values`` apply.
 """
 
 import math
@@ -187,7 +180,13 @@ def eigh(h: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
 
     For callers that read eigenvectors; a caller that needs eigenvalues
-    only uses ``eigvalsh``, which has the same input contract.
+    only uses ``eigvalsh``, which has the same input contract.  A single
+    pure-Python kernel, due to become ``numpy.linalg.eigh``: its rotation
+    count is easy to audit, but every rotation is a few numpy calls, so a
+    256 x 256 state takes about 9 s on a 2-core host.  Its one caller is
+    ``bipartite._support``, the support basis behind the perturbation
+    oracle and the Kraus recovery; the Sinkhorn targets' roots come from
+    LAPACK (``numpy.linalg.eigh``) in ``scaling.ScalingConfig``.
     Deterministic for a fixed input: sweeps run in a fixed pivot order and
     stop once the off-diagonal Frobenius norm drops below
     ``JACOBI_OFF_FACTOR * ||h||_F``.  Within degenerate eigenvalue clusters
@@ -212,6 +211,11 @@ def eigh(h: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianEigen:
 def eigvalsh(h: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, from LAPACK
     (``numpy.linalg.eigvalsh``) on its Hermitian part.
+
+    Questions that read eigenvalues only go to LAPACK: a state's once, in
+    the state rule (``bipartite._checked``), kept as
+    ``BipartiteState.spectrum``; any other matrix, the partial transpose
+    say, through this function.
 
     Same input contract as ``eigh``: ``DimensionMismatch`` for a non-square
     matrix, ``ValueError`` if ``frobenius(h)`` overflows, ``NotHermitian``

@@ -16,27 +16,10 @@ no bound here predicts an iteration count: the budget is a plain cap, and
 its exhaustion raises ``NoConvergence`` with the full residual history
 attached rather than returning a silently truncated family.
 
-The iteration holds the family in one C-contiguous complex ``(n, r, m)``
-buffer F, with F[i, l] row i of operator V_l, copied once from the
-``KrausMap``'s ``(r, n, m)`` array, and never forms a sum.  Both
-stacks are views of it, made once: the nr x m column stack A has
-A^dagger A = sum V^dagger V, and the n x rm row stack B has
-B B^dagger = sum V V^dagger.  Each half-step writes the stack's polar
-factor on the support, read off one thin LAPACK SVD
-(``numpy.linalg.svd``), times the target root straight back into its view,
-so an iteration costs its two SVDs, a few small products and the two
-residuals, and allocates no new family; the residuals write the family's
-conjugate and their two Grams into buffers allocated once per run.  A
-squared singular value counts as support when it exceeds
-``tol * max(1, sigma_max^2)``, the rule applied to the eigenvalues of the
-targets.  The singular values come in descending order, so the smallest
-decides first: when it passes, as it does for every stack of full support,
-the thin factors are used as they are, and only a stack short of full
-support has its support counted, on that same SVD.  The report's
-``contraction_rate``, the median ratio of successive worst residuals near
-the end of the history, says how fast a run was still closing in, and a
-budget-exhausted run names it together with the side further from its
-target.
+How an iteration runs in place on one ``(n, r, m)`` buffer, one thin SVD
+per half-step, and how support is counted is described once, at
+``sinkhorn_scale``.  A search is configured by its ``ScalingConfig`` alone:
+support cuts and verdicts use the package's ``DEFAULT_TOL``.
 
 Feeding converged candidates through the doubly-constrained extremality
 test is the search pipeline for new extreme points of fixed-marginals
@@ -271,9 +254,7 @@ def _polar_on_support(stack: np.ndarray, tol: float) -> Tuple[np.ndarray, np.nda
     return u[:, :k], vh[:k]
 
 
-def sinkhorn_scale(
-    kmap: KrausMap, config: ScalingConfig, tol: float = DEFAULT_TOL
-) -> Tuple[KrausMap, ScalingReport]:
+def sinkhorn_scale(kmap: KrausMap, config: ScalingConfig) -> Tuple[KrausMap, ScalingReport]:
     """Alternate exact-enforcement steps until both marginal sums sit within
     ``config.residual_tol`` of their targets.
 
@@ -281,43 +262,42 @@ def sinkhorn_scale(
     equal K on its support.  Left step: V <- L^(1/2) (sum V V^dagger)^(-1/2) V.
     A family already at its targets returns unchanged after zero iterations.
     The roots K^(1/2), L^(1/2) and the targets' spectra, from which their
-    support ranks are counted at ``tol``, come from ``config``: scaling
-    diagonalises nothing.
+    support ranks are counted, come from ``config``: scaling diagonalises
+    nothing and never forms a sum.
 
-    The family lives in one C-contiguous ``(n, r, m)`` buffer, copied from
-    the ``KrausMap``'s ``(r, n, m)`` array on entry and transposed once into
-    the returned ``KrausMap``.  Its nr x m column stack A and n x rm row
-    stack B are two views of that buffer, made once.  With U_k, V_k^dagger the support part
-    of a thin SVD of a stack, the right step writes
-    A <- U_k V_k^dagger K^(1/2) = A (A^dagger A)^(-1/2) K^(1/2) and the left
-    step B <- L^(1/2) U_k V_k^dagger = L^(1/2) (B B^dagger)^(-1/2) B straight
-    into the buffer (``ndarray.dot`` with ``out=`` the view), inverse roots
-    on the support without forming either.  An iteration is thus two thin
-    SVDs, two small products per half-step and the two residuals; every
-    product is ``ndarray.dot``, the same BLAS call as ``@`` and bit-identical
-    to it, with less call overhead.  The residuals write the family's
-    conjugate and their two Grams into buffers allocated once per run
-    (``_residual_meter``).  Support is decided on the squared
-    singular values (``_polar_on_support``), by
-    ``sigma^2 > tol * max(1, sigma_max^2)``.  The residual pairs are
-    appended to a list, so a large ``max_iter`` costs nothing up front, and
-    copied once into the report's read-only ``history``.
+    The family lives in one C-contiguous ``(n, r, m)`` buffer F, F[i, l]
+    row i of V_l, copied from the ``KrausMap``'s ``(r, n, m)`` array on
+    entry and transposed once into the returned ``KrausMap``.  Its nr x m
+    column stack A (A^dagger A = sum V^dagger V) and n x rm row stack B
+    (B B^dagger = sum V V^dagger) are two views of that buffer, made once.
+    With U_k, V_k^dagger the support part of a thin SVD of a stack, the
+    right step writes A <- U_k V_k^dagger K^(1/2) = A (A^dagger A)^(-1/2)
+    K^(1/2) and the left step B <- L^(1/2) U_k V_k^dagger = L^(1/2)
+    (B B^dagger)^(-1/2) B straight into the buffer (``ndarray.dot`` with
+    ``out=`` the view), inverse roots on the support without forming either.
+    An iteration is thus two thin SVDs, two small products per half-step
+    and the two residuals; every product is ``ndarray.dot``, the same BLAS
+    call as ``@`` and bit-identical to it, with less call overhead.  The
+    residuals write the family's conjugate and their two Grams into buffers
+    allocated once per run (``_residual_meter``).  Support, of the targets'
+    eigenvalues and of the stacks' squared singular values alike, is
+    ``value > DEFAULT_TOL * max(1, largest)`` (``_support_mask``,
+    ``_polar_on_support``).  The residual pairs are appended to a list, so a
+    large ``max_iter`` costs nothing up front, and copied once into the
+    report's read-only ``history``.
 
-    Raises ``ValueError`` for a ``tol`` outside (0, 1) (``check_tol``),
-    checked once before the first iteration; ``SingularScaling`` as soon as
-    an intermediate sum has smaller support than its target (the scaling
-    can then never reach it); and
-    ``NoConvergence`` -- carrying the report and the partially scaled family,
-    and naming the side further from its target and the report's
+    Raises ``SingularScaling`` as soon as an intermediate sum has smaller
+    support than its target (the scaling can then never reach it), and
+    ``NoConvergence`` -- carrying the report and the partially scaled
+    family, and naming the side further from its target and the report's
     ``contraction_rate`` -- when the budget runs out.
     """
-    check_tol(tol)
     target_K, target_L = config.target_K, config.target_L
     _check_shapes(kmap, target_K, target_L)
     sqrt_k, sqrt_l = config._root_K, config._root_L
     spectrum_k, spectrum_l = config._spectrum_K, config._spectrum_L
-    rank_k = int(np.count_nonzero(_support_mask(spectrum_k, float(spectrum_k[-1]), tol)))
-    rank_l = int(np.count_nonzero(_support_mask(spectrum_l, float(spectrum_l[-1]), tol)))
+    rank_k = int(np.count_nonzero(_support_mask(spectrum_k, float(spectrum_k[-1]), DEFAULT_TOL)))
+    rank_l = int(np.count_nonzero(_support_mask(spectrum_l, float(spectrum_l[-1]), DEFAULT_TOL)))
 
     family = _family(kmap)
     cols, rows = _stacks(family)
@@ -327,14 +307,14 @@ def sinkhorn_scale(
 
     iterations = 0
     while max(res_k, res_l) > config.residual_tol and iterations < config.max_iter:
-        u, vh = _polar_on_support(cols, tol)
+        u, vh = _polar_on_support(cols, DEFAULT_TOL)
         if len(vh) < rank_k:
             raise SingularScaling(
                 f"sum V^dagger V has rank {len(vh)}, below the target rank {rank_k}"
             )
         u.dot(vh.dot(sqrt_k), out=cols)
 
-        u, vh = _polar_on_support(rows, tol)
+        u, vh = _polar_on_support(rows, DEFAULT_TOL)
         if len(vh) < rank_l:
             raise SingularScaling(
                 f"sum V V^dagger has rank {len(vh)}, below the target rank {rank_l}"
@@ -367,12 +347,7 @@ def sinkhorn_scale(
 
 
 def find_extremal_candidate(
-    n: int,
-    m: int,
-    r: int,
-    config: ScalingConfig,
-    seed: int,
-    tol: float = DEFAULT_TOL,
+    n: int, m: int, r: int, config: ScalingConfig, seed: int
 ) -> Tuple[KrausMap, ExtremalityReport, BipartiteState]:
     """Search pipeline: seeded random family -> scaling to the target
     marginals -> doubly-constrained extremality test -> composite state.
@@ -380,9 +355,10 @@ def find_extremal_candidate(
     Rejects r above ``parthasarathy_bound(n, m)``, that is r^2 >= n^2 + m^2,
     up front (``InfeasibleRank``): the r^2 Landau-Streater rows satisfy one
     trace relation, so they span at most n^2 + m^2 - 1 dimensions and the
-    independence test can never pass there.  The composite state is checked
-    at ``max(tol, 10 * residual_tol)``, looser than ``tol`` because the
-    scaled marginals are only within ``residual_tol`` of their targets; so a
+    independence test can never pass there.  The verdict is taken at
+    ``DEFAULT_TOL`` and the composite state is checked at
+    ``max(DEFAULT_TOL, 10 * residual_tol)``, looser because the scaled
+    marginals are only within ``residual_tol`` of their targets; so a
     ``config.residual_tol`` of 0.1 or more, which would make that check
     vacuous, is refused up front too (``ValueError``, by ``check_tol``).
     Scaling failures propagate.
@@ -394,9 +370,9 @@ def find_extremal_candidate(
             f"r = {r} exceeds the Parthasarathy bound {bound} of ({n}, {m}); "
             "no such family can be independent"
         )
-    scaled, report = sinkhorn_scale(random_kraus(n, m, r, seed), config, tol)
-    verdict = doubly_constrained_extremality(scaled, tol)
-    state = choi_state(scaled, max(tol, state_tol))
+    scaled, report = sinkhorn_scale(random_kraus(n, m, r, seed), config)
+    verdict = doubly_constrained_extremality(scaled, DEFAULT_TOL)
+    state = choi_state(scaled, max(DEFAULT_TOL, state_tol))
     return scaled, verdict, state
 
 

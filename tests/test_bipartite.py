@@ -340,6 +340,64 @@ def test_max_entangled_rejects_non_unitary():
         max_entangled_projector(np.array([[1.0, 0.0], [1.0, 0.0]]))
 
 
+def _frozen_projector(f_basis):
+    """The projector's matrix and spectrum as built before it went through
+    the state rule: the outer product and the LAPACK eigenvalues of its
+    Hermitian part."""
+    f = np.asarray(f_basis, dtype=np.complex128)
+    vec = f.T.ravel() / np.sqrt(2.0)
+    mat = np.outer(vec, vec.conj())
+    return mat, np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
+
+
+def _unitarity_ratio(f, tol):
+    """||f^dagger f - 1||_F over the limit ``tol * max(1, ||f||_F)``."""
+    deviation = np.linalg.norm(f.conj().T @ f - np.eye(2))
+    return deviation / (tol * max(1.0, np.linalg.norm(f)))
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-4])
+def test_projector_through_the_state_rule_is_bit_identical(tol):
+    rng = sampling.generator(2026)
+    for _ in range(200):
+        u = sampling.random_unitary(rng, 2)
+        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        h = (g + g.conj().T) / 2.0
+        # f = u (1 + eps h) pushed to 0.9 of the unitarity limit, to first order
+        probe = 1e-3 * tol
+        eps = probe * 0.9 / _unitarity_ratio(u @ (np.eye(2) + probe * h), tol)
+        near_limit = u @ (np.eye(2) + eps * h)
+        assert 0.85 < _unitarity_ratio(near_limit, tol) < 0.95
+        for basis in (u, near_limit):
+            state = max_entangled_projector(basis, tol)
+            mat, spectrum = _frozen_projector(basis)
+            assert np.array_equal(state.mat, mat)
+            assert np.array_equal(state.spectrum, spectrum)
+
+
+def test_every_state_factory_goes_through_the_state_rule(monkeypatch, example_map, example_state):
+    made = []
+    checked = bipartite._checked
+
+    def recording(*args):
+        violations, state = checked(*args)
+        made.append(state)
+        return violations, state
+
+    monkeypatch.setattr(bipartite, "_checked", recording)
+    wire = state_to_json(example_state)
+    factories = {
+        "validate_state": lambda: validate_state(np.eye(6) / 6, 2, 3),
+        "state_from_json": lambda: state_from_json(wire),
+        "random_separable": lambda: random_separable(2, 3, 2, 0),
+        "choi_state": lambda: choi_state(example_map),
+        "max_entangled_projector": lambda: max_entangled_projector(np.eye(2)),
+    }
+    for name, factory in factories.items():
+        state = factory()
+        assert made and made[-1] is state, name
+
+
 # ---------------------------------------------------------------------------
 # rank bound
 

@@ -161,6 +161,16 @@ def test_rank_bound_and_oracle_read_one_rank_rule(tmp_path, capsys):
     assert "cannot be an extreme point" not in capsys.readouterr().out
 
 
+def test_verify_state_takes_the_rank_bound_verdict_from_the_library(
+    example_state_file, monkeypatch, capsys
+):
+    from qmarginals import bipartite
+
+    monkeypatch.setattr(bipartite, "check_rank_bound", lambda state, tol: False)
+    assert main(["verify-state", example_state_file, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rank_bound"] == {"bound": 3, "within_bound": False}
+
+
 def test_verify_state_with_kraus_section(example_state_file, example_kraus_file, capsys):
     code = main(["verify-state", example_state_file, "--kraus", example_kraus_file, "--json"])
     assert code == 0
@@ -384,6 +394,36 @@ def test_extremal_check_example(example_kraus_file, capsys):
     assert report["double_marginal"]["verdict"] is True
     assert report["perturbation_freedom"] == 0
     assert report["agreement"] is True
+
+
+def test_extremal_check_fails_when_the_oracle_finds_freedom(
+    example_kraus_file, monkeypatch, capsys
+):
+    from qmarginals import bipartite
+
+    # the two-marginal criterion still calls the example extreme; the exit
+    # code needs both oracles to agree on it
+    monkeypatch.setattr(bipartite, "perturbation_freedom_dim", lambda state, tol: 1)
+    assert main(["extremal-check", example_kraus_file, "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["double_marginal"]["verdict"] is True
+    assert report["perturbation_freedom"] == 1
+    assert report["agreement"] is False
+
+
+def test_extremal_check_oracles_disagree_at_a_loose_tolerance(tmp_path, capsys):
+    # at --tol 0.1 the stacked rank drops to 3 of 4 while the oracle's
+    # constraint map keeps full rank
+    path = tmp_path / "seed31.json"
+    path.write_text(json.dumps(kraus_to_json(random_kraus(2, 3, 2, 31))))
+    assert main(["extremal-check", str(path), "--tol", "0.1", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["double_marginal"]["stacked_rank"] == 3
+    assert report["double_marginal"]["verdict"] is False
+    assert report["perturbation_freedom"] == 0
+    assert report["agreement"] is False
+    assert main(["extremal-check", str(path), "--tol", "0.1"]) == 1
+    assert "oracle agreement: NO" in capsys.readouterr().out
 
 
 def test_extremal_check_duplicated_ops(tmp_path):

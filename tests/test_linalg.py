@@ -32,9 +32,7 @@ from qmarginals import (
     random_kraus,
     rank_of_values,
     rank_with_margin,
-    sinkhorn_scale,
     state_violations,
-    uniform_targets,
     validate_state,
 )
 from qmarginals import DimensionMismatch
@@ -399,8 +397,6 @@ TOL_ENTRY_POINTS = {
     "choi_extremality": lambda tol: choi_extremality(EXAMPLE_KRAUS, tol),
     "doubly_constrained_extremality":
         lambda tol: doubly_constrained_extremality(EXAMPLE_KRAUS, tol),
-    "sinkhorn_scale":
-        lambda tol: sinkhorn_scale(random_kraus(2, 3, 2, 0), uniform_targets(2, 3), tol),
     "ScalingConfig": lambda tol: ScalingConfig(np.eye(3) / 3, np.eye(2) / 2, residual_tol=tol),
 }
 
