@@ -47,9 +47,8 @@ def check_tol(tol: float, name: str = "tol") -> float:
 _EXPORTS = {
     name: module
     for module, names in (
-        ("linalg", "HermitianEigen RankDecision eigh eigvalsh kron "
-                   "matrix_from_json matrix_to_json numerical_rank rank_of_values "
-                   "rank_with_margin"),
+        ("linalg", "RankDecision eigh eigvalsh matrix_from_json matrix_to_json "
+                   "numerical_rank rank_of_values rank_with_margin"),
         ("bipartite", "BipartiteState PptReport Violation check_rank_bound "
                       "max_entangled_projector parthasarathy_bound partial_trace_a "
                       "partial_trace_b partial_transpose_b perturbation_freedom_dim "

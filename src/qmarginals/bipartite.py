@@ -2,7 +2,7 @@
 
 A state on an (n*m)-dimensional space is tagged with its factor dimensions
 (dim_a=n, dim_b=m).  The product basis is ordered lexicographically:
-e_i (x) f_k sits at index i*m + k, matching ``linalg.kron``.
+e_i (x) f_k sits at index i*m + k, the order of ``numpy.kron``.
 
 Includes the partial traces, the partial transpose, the PPT verdict
 (conclusive at 2x2, 2x3 and with a 1-dimensional factor), maximally
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import check_tol, linalg, sampling
 from .errors import DimensionMismatch, NotHermitian, NotPSD, TraceNotOne
-from .linalg import DEFAULT_TOL, as_matrix, eigh, eigvalsh, frobenius, numerical_rank
+from .linalg import DEFAULT_TOL, as_matrix, check_counts, eigh, eigvalsh, numerical_rank
 
 #: Factor-dimension pairs where PPT is necessary *and sufficient* for
 #: separability, besides a 1-dimensional factor (every state a product).
@@ -222,7 +222,7 @@ def ppt_check(state: BipartiteState, tol: float = DEFAULT_TOL) -> PptReport:
     pt = partial_transpose_b(state)
     spectrum = eigvalsh(pt, tol)
     lam_min = float(spectrum[0])
-    threshold = -tol * max(1.0, frobenius(pt))
+    threshold = -tol * max(1.0, float(np.linalg.norm(pt)))
     is_ppt = lam_min >= threshold
     if not is_ppt:
         verdict = VERDICT_ENTANGLED
@@ -262,7 +262,7 @@ def _support(state: BipartiteState, tol: float) -> Tuple[np.ndarray, np.ndarray]
     the top ``rank_of_values`` values of ``state.spectrum``, the count
     ``check_rank_bound`` reads, with the matching top columns of ``eigh``,
     whose input contract checks ``state.mat`` at ``tol``."""
-    vectors = eigh(state.mat, tol).eigenvectors
+    _, vectors = eigh(state.mat, tol)
     start = len(state.spectrum) - linalg.rank_of_values(state.spectrum, tol).rank
     return state.spectrum[start:], vectors[:, start:]
 
@@ -298,6 +298,7 @@ def random_separable(dim_a: int, dim_b: int, k: int, seed: int) -> BipartiteStat
     Any k >= 1 is accepted; nothing ties the number of terms to the factor
     dimensions.
     """
+    check_counts(dim_a=dim_a, dim_b=dim_b, k=k)
     if dim_a < 1 or dim_b < 1:
         raise DimensionMismatch("factor dimensions must be positive")
     if k < 1:
@@ -309,7 +310,7 @@ def random_separable(dim_a: int, dim_b: int, k: int, seed: int) -> BipartiteStat
     for weight in weights:
         rho_a = sampling.random_density_matrix(rng, dim_a)
         rho_b = sampling.random_density_matrix(rng, dim_b)
-        mat += weight * linalg.kron(rho_a, rho_b)
+        mat += weight * np.kron(rho_a, rho_b)
     return validate_state(mat, dim_a, dim_b)
 
 

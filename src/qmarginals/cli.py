@@ -128,8 +128,8 @@ def _check_family_reproduces(
     import numpy as np
 
     with np.errstate(over="ignore"):  # an overflow is a deviation of inf, refused below
-        deviation = qm.linalg.frobenius(qm.cpmaps._composite_matrix(kmap.ops) - state.mat)
-    limit = tol * max(1.0, qm.linalg.frobenius(state.mat))
+        deviation = float(np.linalg.norm(qm.cpmaps._composite_matrix(kmap.ops) - state.mat))
+    limit = tol * max(1.0, float(np.linalg.norm(state.mat)))
     if deviation > limit:
         raise ValueError(
             f"Kraus family does not reproduce the state: its composite state "
@@ -532,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "matrix, Hermitian and positive with trace 1, each to 1e-12")
     p.add_argument("--target-l", default=None, metavar="FILE",
                    help="n x n target for sum V V^dagger (default identity/n): a density "
-                   "matrix, Hermitian and positive with trace 1, each to 1e-12")
+                   "matrix, Hermitian and positive with trace 1, each to 1e-12; the "
+                   "composite state's A-marginal is its entrywise conjugate")
     p.add_argument("--max-iter", type=_count(1), default=10000)
     p.add_argument("--tol", type=_parse_tol, default=1e-10,
                    help="residual tolerance (default: %(default)s), 0 < TOL < 1")

@@ -1,16 +1,22 @@
-"""Dense complex matrix kernel.
+"""Dense complex matrix kernel, keeping only what numpy lacks.
 
-Everything downstream works with 2-D ``numpy.ndarray`` values of dtype
-complex128.  Ranks with margins come from one rule, ``rank_of_values``:
-a state's spectrum, or LAPACK singular values in ``rank_with_margin``;
-Sinkhorn's support counts use ``DEFAULT_TOL * max(1, largest)`` instead
-(``scaling._support_mask``).  Which eigen-solver answers which question
-is said once, at ``eigvalsh`` (eigenvalues only, LAPACK) and ``eigh``
-(eigenvectors, Jacobi).  The two share one input contract
-(``_hermitian_part``), built on a non-raising core (``_hermitian_split``)
-that the state validator reads too, so a state's Hermiticity is checked
-once.  ``frobenius`` applies the formula of ``numpy.linalg.norm`` without
-its argument handling.
+Values are 2-D complex128 arrays; norms, adjoints and Kronecker products
+are numpy's (``numpy.linalg.norm``, ``.conj().T``, ``numpy.kron``, whose
+basis order is the package's).  Kept here:
+
+* ``as_matrix``: numpy's conversion refuses neither NaN/inf nor a shape.
+* The Hermitian contract (``_hermitian_split``, ``_hermitian_part``):
+  ``numpy.linalg.eigh`` reads one triangle and checks nothing.  The state
+  validator reads the split too, so a state's Hermiticity is checked once.
+* The rank rule ``rank_of_values`` with the margins ``matrix_rank`` does
+  not report, for a state's spectrum and, in ``rank_with_margin``, LAPACK
+  singular values.  Sinkhorn's support counts use
+  ``DEFAULT_TOL * max(1, largest)`` instead (``scaling._support_mask``).
+* The unitarity rule ``_unitary``, the wire format (``matrix_to_json``,
+  ``matrix_from_json``) and the count rules: numpy has none of them.
+* ``eigh``, the Jacobi kernel, until it becomes ``numpy.linalg.eigh``.
+  Which eigen-solver answers which question is said once, at ``eigvalsh``
+  (eigenvalues only, LAPACK) and ``eigh`` (eigenvectors, Jacobi).
 
 All tolerances are relative and flow in as parameters, except the Sinkhorn
 search's, which is ``DEFAULT_TOL``, the single documented default.  It is
@@ -42,40 +48,6 @@ def as_matrix(value) -> np.ndarray:
     if not np.isfinite(mat).all():
         raise ValueError("matrix entries must be finite")
     return mat
-
-
-def dagger(mat: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return mat.conj().T
-
-
-def frobenius(mat: np.ndarray) -> float:
-    """Frobenius norm of a complex matrix, by the formula of
-    ``numpy.linalg.norm`` without its argument handling, so the values are
-    identical: the square root of the dot products of the flattened real and
-    imaginary parts with themselves.  The sum of squares is not rescaled,
-    so a norm above about 1.3e154 comes out inf, with numpy's overflow
-    warning unless the caller silences it."""
-    flat = np.asarray(mat, dtype=np.complex128).ravel(order="K")
-    re, im = flat.real, flat.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product in the lexicographic product-basis convention:
-    basis vector e_i (x) f_j of the product maps to index i * dim_b + j."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-class HermitianEigen(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``eigenvalues`` ascending; column k of ``eigenvectors`` pairs with
-    eigenvalue k, and the input equals U diag(w) U^dagger within tolerance.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def _offdiag_norm(a: np.ndarray) -> float:
@@ -142,21 +114,21 @@ def _jacobi_cyclic(a: np.ndarray, v: np.ndarray, max_sweeps: int, off_tol: float
 def _hermitian_split(h: np.ndarray) -> Tuple[np.ndarray, float, float]:
     """The non-raising core of the input contract of ``eigh`` and
     ``eigvalsh``, for a square complex128 matrix ``h``: its Hermitian part
-    ``(h + h^dagger) / 2``, ``frobenius(h)`` and the deviation
-    ``frobenius(h - h^dagger)``.  The norm is inf when its sum of squares
-    overflows (finite entries, norm above about 1.3e154); no warning is
-    raised for it."""
-    adj = dagger(h)
+    ``(h + h^dagger) / 2``, ``||h||_F`` and the deviation
+    ``||h - h^dagger||_F`` (``numpy.linalg.norm``).  The norm is inf when
+    its sum of squares overflows (finite entries, norm above about
+    1.3e154); no warning is raised for it."""
+    adj = h.conj().T
     with np.errstate(over="ignore"):
-        return (h + adj) / 2.0, frobenius(h), frobenius(h - adj)
+        return (h + adj) / 2.0, float(np.linalg.norm(h)), float(np.linalg.norm(h - adj))
 
 
 def _hermitian_part(h, tol: float, name: str) -> Tuple[np.ndarray, float]:
     """The input contract shared by ``eigh`` and ``eigvalsh``.
 
-    Returns the Hermitian part ``(h + h^dagger) / 2`` and ``frobenius(h)``
+    Returns the Hermitian part ``(h + h^dagger) / 2`` and ``||h||_F``
     from ``_hermitian_split``.  Raises ``DimensionMismatch`` for a
-    non-square matrix, ``ValueError`` if ``frobenius(h)`` overflows, and
+    non-square matrix, ``ValueError`` if ``||h||_F`` overflows, and
     ``NotHermitian`` if ``h`` deviates from Hermitian by more than
     ``tol * max(1, ||h||_F)``.  A ``tol`` outside (0, 1) is refused
     (``check_tol``).
@@ -176,8 +148,11 @@ def _hermitian_part(h, tol: float, name: str) -> Tuple[np.ndarray, float]:
     return herm, norm
 
 
-def eigh(h: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+def eigh(h: np.ndarray, tol: float = DEFAULT_TOL) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations:
+    the pair ``(eigenvalues, eigenvectors)`` that ``numpy.linalg.eigh``
+    returns, eigenvalues ascending and column k of the unitary paired with
+    eigenvalue k, so that ``h`` equals U diag(w) U^dagger within tolerance.
 
     For callers that read eigenvectors; a caller that needs eigenvalues
     only uses ``eigvalsh``, which has the same input contract.  A single
@@ -192,7 +167,7 @@ def eigh(h: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianEigen:
     ``JACOBI_OFF_FACTOR * ||h||_F``.  Within degenerate eigenvalue clusters
     the eigenvector order is whatever the rotation sequence produces.
 
-    Raises ``ValueError`` if ``frobenius(h)`` overflows (finite entries,
+    Raises ``ValueError`` if ``||h||_F`` overflows (finite entries,
     norm above about 1.3e154), since the stopping threshold would be inf;
     ``NotHermitian`` if ``h`` is not Hermitian within ``tol``; and
     ``NoConvergence`` if ``JACOBI_MAX_SWEEPS`` sweeps do not suffice.
@@ -205,7 +180,7 @@ def eigh(h: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianEigen:
         raise NoConvergence(f"Jacobi iteration did not converge in {JACOBI_MAX_SWEEPS} sweeps")
     values = np.diagonal(work).real.copy()
     order = np.argsort(values, kind="stable")
-    return HermitianEigen(values[order], np.ascontiguousarray(vecs[:, order]))
+    return values[order], np.ascontiguousarray(vecs[:, order])
 
 
 def eigvalsh(h: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -218,7 +193,7 @@ def eigvalsh(h: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     say, through this function.
 
     Same input contract as ``eigh``: ``DimensionMismatch`` for a non-square
-    matrix, ``ValueError`` if ``frobenius(h)`` overflows, ``NotHermitian``
+    matrix, ``ValueError`` if ``||h||_F`` overflows, ``NotHermitian``
     beyond ``tol * max(1, ||h||_F)``.
     """
     herm, _ = _hermitian_part(h, tol, "eigvalsh")
@@ -235,7 +210,8 @@ def _unitary(value, size: int, tol: float, name: str) -> np.ndarray:
         raise DimensionMismatch(f"{name} is {u.shape}, expected ({size}, {size})")
     u = as_matrix(u)
     with np.errstate(over="ignore", invalid="ignore"):
-        deviation, limit = frobenius(dagger(u) @ u - np.eye(size)), tol * max(1.0, frobenius(u))
+        deviation = float(np.linalg.norm(u.conj().T @ u - np.eye(size)))
+        limit = tol * max(1.0, float(np.linalg.norm(u)))
     if not deviation <= limit < math.inf:
         raise NotUnitary(f"{name} deviates from unitary by {deviation:.3e} (limit {limit:.3e})")
     return u
@@ -294,10 +270,22 @@ def matrix_to_json(mat: np.ndarray) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    """An integer, Python or numpy; booleans, Python's ints, are not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def is_positive_int(value) -> bool:
-    """Whether ``value`` is an integer of at least 1, Python or numpy;
-    booleans, which Python treats as ints, are not."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and int(value) >= 1
+    """Whether ``value`` is an integer (``_is_int``) of at least 1."""
+    return _is_int(value) and int(value) >= 1
+
+
+def check_counts(**counts) -> None:
+    """``ValueError`` naming the first of ``counts`` that is not an integer
+    (``_is_int``); one below 1 is left to the caller's own error."""
+    for name, value in counts.items():
+        if not _is_int(value):
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _wire_fields(obj, kind: str, fields: Tuple[str, ...]) -> list:
@@ -319,7 +307,7 @@ def matrix_from_json(obj) -> np.ndarray:
     """Parse the matrix wire format, naming the offending field on error.
 
     Refuses integers too large for a double, non-finite entries, and
-    matrices whose ``frobenius`` norm is not finite (its sum of squares
+    matrices whose Frobenius norm is not finite (its sum of squares
     overflows above about 1.3e154): every later tolerance is relative to
     that norm."""
     rows, cols, entries = _wire_fields(obj, "matrix", ("rows", "cols", "entries"))
@@ -343,7 +331,7 @@ def matrix_from_json(obj) -> np.ndarray:
     if not np.all(np.isfinite(flat.real)) or not np.all(np.isfinite(flat.imag)):
         raise ValueError("field 'entries': entries must be finite")
     with np.errstate(over="ignore"):
-        norm = frobenius(flat)
+        norm = np.linalg.norm(flat)
     if not np.isfinite(norm):
         raise ValueError("field 'entries': the matrix's Frobenius norm overflows")
     return flat.reshape(rows, cols)

@@ -46,7 +46,7 @@ from .cpmaps import (
     doubly_constrained_extremality,
 )
 from .errors import DimensionMismatch, InfeasibleRank, NoConvergence, SingularScaling
-from .linalg import DEFAULT_TOL, _hermitian_split, as_matrix, dagger, is_positive_int
+from .linalg import DEFAULT_TOL, as_matrix, check_counts, is_positive_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,6 +59,10 @@ class ScalingConfig:
     target.  ``max_iter`` must be a positive integer, numpy's included, and
     ``residual_tol`` must lie in (0, 1), the package's one tolerance rule
     (``check_tol``): ``ValueError`` otherwise.
+
+    A family scaled to these targets has a composite state (``choi_state``)
+    whose B-marginal is ``target_K`` and whose A-marginal is the entrywise
+    conjugate of ``target_L``.
 
     Each target's Hermitian part is diagonalised once, by LAPACK
     (``numpy.linalg.eigh``), and two results are kept: its spectrum,
@@ -85,9 +89,9 @@ class ScalingConfig:
             if mat.shape[0] != mat.shape[1]:
                 raise DimensionMismatch(f"{name} must be square, got {mat.shape}")
             mat = _validated(mat, 1, len(mat), 1e-12, f"{name}: ").mat  # a read-only copy
-            values, vectors = np.linalg.eigh(_hermitian_split(mat)[0])
+            values, vectors = np.linalg.eigh((mat + mat.conj().T) / 2)
             values = np.clip(values, 0.0, None)
-            root = (vectors * np.sqrt(values)) @ dagger(vectors)
+            root = (vectors * np.sqrt(values)) @ vectors.conj().T
             kept = {name: mat, f"_spectrum_{side}": values, f"_root_{side}": root}
             for attr, value in kept.items():
                 value.setflags(write=False)
@@ -158,6 +162,7 @@ def random_kraus(n: int, m: int, r: int, seed: int) -> KrausMap:
     """``r`` seeded Ginibre operators of shape n x m, normalized globally so
     the trace of sum V^dagger V is exactly 1.  Bit-for-bit deterministic per
     seed."""
+    check_counts(n=n, m=m, r=r)
     if n < 1 or m < 1:
         raise DimensionMismatch("factor dimensions must be positive")
     if r < 1:
@@ -175,9 +180,9 @@ def _residual_meter(
     """A function returning the residuals of the ``(n, r, m)`` buffer
     ``family`` as it stands when called, from its ``_stacks`` A and B.  The
     conjugate of the family and the two Grams are written into buffers
-    allocated here, once; each residual is ``linalg.frobenius``'s
-    arithmetic, sqrt(re . re + im . im) over the flattened Gram, so the
-    values are identical to it."""
+    allocated here, once; each residual is ``numpy.linalg.norm``'s
+    arithmetic for a complex array, sqrt(re . re + im . im) over the
+    flattened Gram, so the values are identical to it."""
     cols, rows = _stacks(family)
     conj = np.empty_like(family)
     conj_cols, conj_rows = (stack.T for stack in _stacks(conj))
@@ -363,6 +368,7 @@ def find_extremal_candidate(
     vacuous, is refused up front too (``ValueError``, by ``check_tol``).
     Scaling failures propagate.
     """
+    check_counts(n=n, m=m, r=r)
     state_tol = check_tol(10.0 * config.residual_tol, "10 * residual_tol")
     bound = parthasarathy_bound(n, m)
     if r > bound:

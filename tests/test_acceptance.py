@@ -63,7 +63,7 @@ def test_criterion_02_uniform_marginals(example_state):
 def test_criterion_03_rank_and_spectrum(example_state):
     with criterion(3, "rank 2 and spectrum (0 x4, 1/2 x2) to 1e-12"):
         assert numerical_rank(example_state.mat) == 2
-        spectrum = eigh(example_state.mat).eigenvalues
+        spectrum, _ = eigh(example_state.mat)
         assert np.abs(spectrum - np.array([0, 0, 0, 0, 0.5, 0.5])).max() <= 1e-12
 
 

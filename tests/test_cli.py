@@ -596,6 +596,24 @@ def test_sinkhorn_custom_targets(tmp_path):
     assert doc["report"]["converged"]
 
 
+def test_sinkhorn_target_l_is_the_conjugate_of_the_state_a_marginal(tmp_path, capsys):
+    # sinkhorn -> choi -> verify-state: the composite state's A-marginal is
+    # conj(target_L), not target_L, for a complex target
+    target_l = np.array([[0.6, 0.2j], [-0.2j, 0.4]])
+    target = tmp_path / "l.json"
+    target.write_text(json.dumps(matrix_to_json(target_l)))
+    scaled, state = tmp_path / "scaled.json", tmp_path / "state.json"
+    argv = ["sinkhorn", "--n", "2", "--m", "3", "--r", "3", "--seed", "0"]
+    assert main(argv + ["--target-l", str(target), "-o", str(scaled)]) == 0
+    assert main(["choi", str(scaled), "-o", str(state)]) == 0
+    capsys.readouterr()
+    assert main(["verify-state", "--json", str(state)]) == 0
+    entries = json.loads(capsys.readouterr().out)["marginal_a"]["entries"]
+    marginal_a = np.array([complex(re, im) for re, im in entries]).reshape(2, 2)
+    assert np.abs(marginal_a - target_l.conj()).max() <= 1e-9
+    assert np.abs(marginal_a - target_l).max() > 1e-3
+
+
 # ---------------------------------------------------------------------------
 # report determinism and mode equivalence
 

@@ -33,7 +33,6 @@ from qmarginals import (
     kraus_from_json,
     kraus_from_state,
     kraus_to_json,
-    kron,
     matrix_from_json,
     matrix_to_json,
     mix_ops,
@@ -156,7 +155,7 @@ def test_invariants_unchanged_by_local_unitaries(n, m, r, seed, unitary_seed):
     rng = sampling.generator(unitary_seed)
     u, w = sampling.random_unitary(rng, n), sampling.random_unitary(rng, m)
     state = choi_state(kmap)
-    local = kron(u, w)
+    local = np.kron(u, w)
     rotated = validate_state(local @ state.mat @ local.conj().T, n, m)
     # the family V -> conj(U) V W^dagger has the rotated state as its composite state
     moved = KrausMap(n, m, tuple(u.conj() @ op @ w.conj().T for op in kmap.ops))
@@ -179,7 +178,7 @@ def family_or_product_mixture_states(draw):
     for weight in weights:
         a = sampling.ginibre(rng, n, 1)
         b = sampling.ginibre(rng, m, 1)
-        product = kron(a, b) / np.sqrt(np.vdot(a, a).real * np.vdot(b, b).real)
+        product = np.kron(a, b) / np.sqrt(np.vdot(a, a).real * np.vdot(b, b).real)
         mat += weight * (product @ product.conj().T)
     return validate_state(mat, n, m)
 

@@ -33,6 +33,7 @@ from qmarginals import (
     perturbation_freedom_dim,
     ppt_check,
     random_kraus,
+    random_separable,
     residuals,
     sampling,
     scaling,
@@ -211,6 +212,28 @@ def test_random_kraus_refuses_non_positive_dimensions_before_drawing(dims):
     # error::RuntimeWarning filter
     with pytest.raises(DimensionMismatch, match="^factor dimensions must be positive$"):
         random_kraus(*dims, 2, 1)
+
+
+@pytest.mark.parametrize("value", [2.0, np.float64(3.0), True, np.bool_(True), "2", None])
+@pytest.mark.parametrize(
+    "call, names",
+    [
+        (lambda *counts: random_kraus(*counts, 1), ("n", "m", "r")),
+        (lambda *counts: random_separable(*counts, 1), ("dim_a", "dim_b", "k")),
+        (lambda *counts: find_extremal_candidate(*counts, UNIFORM_23, seed=0), ("n", "m", "r")),
+    ],
+    ids=["random_kraus", "random_separable", "find_extremal_candidate"],
+)
+def test_factories_refuse_a_count_that_is_not_an_integer(monkeypatch, call, names, value):
+    # refused by name before any draw or bound; integers below 1 keep each
+    # factory's own error
+    monkeypatch.setattr(sampling, "generator", None)
+    monkeypatch.setattr(scaling, "parthasarathy_bound", None)
+    for position, name in enumerate(names):
+        counts = [2, 3, 2]
+        counts[position] = value
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got "):
+            call(*counts)
 
 
 # ---------------------------------------------------------------------------
