@@ -128,9 +128,7 @@ def _checked(
                 f"for dims ({dim_a}, {dim_b})",
             )
         ], None
-    herm, norm, herm_dev = linalg._hermitian_split(mat)
-    if not math.isfinite(norm):
-        raise ValueError("state_violations: the matrix's Frobenius norm overflows")
+    herm, norm, herm_dev = linalg._hermitian_split(mat, "state_violations")
     out: List[Violation] = []
     scale = max(1.0, norm)
     if herm_dev > tol * scale:
@@ -292,8 +290,9 @@ def perturbation_freedom_dim(state: BipartiteState, tol: float = DEFAULT_TOL) ->
 
 def random_separable(dim_a: int, dim_b: int, k: int, seed: int) -> BipartiteState:
     """Convex combination of ``k`` product states with random weights,
-    deterministic per seed.  Separable by construction, so its partial
-    transpose is positive in any dimension.
+    deterministic per seed, a non-negative integer (``sampling.generator``).
+    Separable by construction, so its partial transpose is positive in any
+    dimension.
 
     Any k >= 1 is accepted; nothing ties the number of terms to the factor
     dimensions.

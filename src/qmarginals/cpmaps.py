@@ -28,7 +28,7 @@ import numpy as np
 from . import check_tol, linalg
 from .bipartite import BipartiteState, _support, validate_state
 from .errors import DimensionMismatch, TraceNotOne
-from .linalg import DEFAULT_TOL, RankDecision, as_matrix, rank_with_margin
+from .linalg import DEFAULT_TOL, RankDecision, as_matrix, check_counts, rank_with_margin
 
 CRITERION_CHOI = "choi"
 CRITERION_LANDAU_STREATER = "landau_streater"
@@ -43,13 +43,16 @@ class KrausMap:
     ``ops``: ``ops[l]`` is V_l, and iterating over ``ops`` or taking its
     ``len`` gives the operators.  The operators are copied in, so a later
     write to the input leaves the family as it was.  Two families are equal
-    only when they are the same object."""
+    only when they are the same object.  ``n`` and ``m`` must be integers,
+    numpy's included (``linalg.check_counts``: ``ValueError`` naming the
+    first that is not), of at least 1 (``DimensionMismatch``)."""
 
     n: int
     m: int
     ops: np.ndarray
 
     def __post_init__(self):
+        check_counts(n=self.n, m=self.m)
         if self.n < 1 or self.m < 1:
             raise DimensionMismatch("factor dimensions must be positive")
         if len(self.ops) < 1:

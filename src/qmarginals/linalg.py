@@ -111,24 +111,26 @@ def _jacobi_cyclic(a: np.ndarray, v: np.ndarray, max_sweeps: int, off_tol: float
     return -1
 
 
-def _hermitian_split(h: np.ndarray) -> Tuple[np.ndarray, float, float]:
-    """The non-raising core of the input contract of ``eigh`` and
-    ``eigvalsh``, for a square complex128 matrix ``h``: its Hermitian part
-    ``(h + h^dagger) / 2``, ``||h||_F`` and the deviation
-    ``||h - h^dagger||_F`` (``numpy.linalg.norm``).  The norm is inf when
-    its sum of squares overflows (finite entries, norm above about
-    1.3e154); no warning is raised for it."""
+def _hermitian_split(h: np.ndarray, name: str) -> Tuple[np.ndarray, float, float]:
+    """The core of the input contract of ``eigh``, ``eigvalsh`` and the
+    state rule, for a square complex128 matrix ``h``: its Hermitian part
+    ``(h + h^dagger) / 2``, ``||h||_F`` and ``||h - h^dagger||_F``
+    (``numpy.linalg.norm``).  An overflowing norm (finite entries, above
+    about 1.3e154) raises, warning-free, ``ValueError`` naming ``name``."""
     adj = h.conj().T
     with np.errstate(over="ignore"):
-        return (h + adj) / 2.0, float(np.linalg.norm(h)), float(np.linalg.norm(h - adj))
+        norm = float(np.linalg.norm(h))
+        if not math.isfinite(norm):
+            raise ValueError(f"{name}: the matrix's Frobenius norm overflows")
+        return (h + adj) / 2.0, norm, float(np.linalg.norm(h - adj))
 
 
 def _hermitian_part(h, tol: float, name: str) -> Tuple[np.ndarray, float]:
     """The input contract shared by ``eigh`` and ``eigvalsh``.
 
     Returns the Hermitian part ``(h + h^dagger) / 2`` and ``||h||_F``
-    from ``_hermitian_split``.  Raises ``DimensionMismatch`` for a
-    non-square matrix, ``ValueError`` if ``||h||_F`` overflows, and
+    from ``_hermitian_split``, which refuses an overflowing ``||h||_F``.
+    Raises ``DimensionMismatch`` for a non-square matrix and
     ``NotHermitian`` if ``h`` deviates from Hermitian by more than
     ``tol * max(1, ||h||_F)``.  A ``tol`` outside (0, 1) is refused
     (``check_tol``).
@@ -137,9 +139,7 @@ def _hermitian_part(h, tol: float, name: str) -> Tuple[np.ndarray, float]:
     h = as_matrix(h)
     if h.shape[0] != h.shape[1]:
         raise DimensionMismatch(f"{name} needs a square matrix, got {h.shape}")
-    herm, norm, deviation = _hermitian_split(h)
-    if not math.isfinite(norm):
-        raise ValueError(f"{name}: the matrix's Frobenius norm overflows")
+    herm, norm, deviation = _hermitian_split(h, name)
     limit = tol * max(1.0, norm)
     if deviation > limit:
         raise NotHermitian(

@@ -16,9 +16,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import _is_int
+
 
 def generator(seed: int) -> np.random.Generator:
-    """Fresh PCG64 generator for ``seed``."""
+    """Fresh PCG64 generator for ``seed``, an integer (``linalg._is_int``:
+    Python's or numpy's, never a ``bool``) of at least 0; ``ValueError``
+    naming ``seed`` otherwise, so no seed falls back to OS entropy."""
+    if not _is_int(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.Generator(np.random.PCG64(seed))
 
 

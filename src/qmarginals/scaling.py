@@ -161,7 +161,7 @@ class ScalingReport:
 def random_kraus(n: int, m: int, r: int, seed: int) -> KrausMap:
     """``r`` seeded Ginibre operators of shape n x m, normalized globally so
     the trace of sum V^dagger V is exactly 1.  Bit-for-bit deterministic per
-    seed."""
+    seed, which must be a non-negative integer (``sampling.generator``)."""
     check_counts(n=n, m=m, r=r)
     if n < 1 or m < 1:
         raise DimensionMismatch("factor dimensions must be positive")
@@ -357,10 +357,11 @@ def find_extremal_candidate(
     """Search pipeline: seeded random family -> scaling to the target
     marginals -> doubly-constrained extremality test -> composite state.
 
-    Rejects r above ``parthasarathy_bound(n, m)``, that is r^2 >= n^2 + m^2,
-    up front (``InfeasibleRank``): the r^2 Landau-Streater rows satisfy one
-    trace relation, so they span at most n^2 + m^2 - 1 dimensions and the
-    independence test can never pass there.  The verdict is taken at
+    ``random_kraus`` draws first and refuses the counts and the seed.  r
+    above ``parthasarathy_bound(n, m)``, that is r^2 >= n^2 + m^2, is then
+    rejected before any scaling (``InfeasibleRank``): the r^2 Landau-Streater
+    rows satisfy one trace relation, so they span at most n^2 + m^2 - 1
+    dimensions and the independence test can never pass there.  The verdict is taken at
     ``DEFAULT_TOL`` and the composite state is checked at
     ``max(DEFAULT_TOL, 10 * residual_tol)``, looser because the scaled
     marginals are only within ``residual_tol`` of their targets; so a
@@ -368,15 +369,15 @@ def find_extremal_candidate(
     vacuous, is refused up front too (``ValueError``, by ``check_tol``).
     Scaling failures propagate.
     """
-    check_counts(n=n, m=m, r=r)
     state_tol = check_tol(10.0 * config.residual_tol, "10 * residual_tol")
+    kmap = random_kraus(n, m, r, seed)
     bound = parthasarathy_bound(n, m)
     if r > bound:
         raise InfeasibleRank(
             f"r = {r} exceeds the Parthasarathy bound {bound} of ({n}, {m}); "
             "no such family can be independent"
         )
-    scaled, report = sinkhorn_scale(random_kraus(n, m, r, seed), config)
+    scaled, report = sinkhorn_scale(kmap, config)
     verdict = doubly_constrained_extremality(scaled, DEFAULT_TOL)
     state = choi_state(scaled, max(DEFAULT_TOL, state_tol))
     return scaled, verdict, state

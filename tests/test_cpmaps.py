@@ -53,6 +53,19 @@ def test_kraus_map_requires_consistent_shapes():
         KrausMap(2, 3, ())
 
 
+@pytest.mark.parametrize("value", [1.0, np.float64(2.0), True, np.bool_(True), "2", None])
+def test_kraus_map_refuses_a_dimension_that_is_not_an_integer(value):
+    ops = [np.zeros((2, 3), dtype=complex)]
+    for name, dims in (("n", (value, 3)), ("m", (2, value))):
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got "):
+            KrausMap(*dims, ops)
+
+
+def test_kraus_map_takes_numpy_integer_dimensions():
+    ops = [np.zeros((2, 3), dtype=complex)]
+    assert KrausMap(np.int64(2), np.uint8(3), ops).ops.shape == (1, 2, 3)
+
+
 def test_kraus_ops_read_only(example_map):
     with pytest.raises(ValueError):
         example_map.ops[0][0, 0] = 1.0

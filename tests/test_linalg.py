@@ -124,6 +124,23 @@ def test_eigh_refuses_overflowing_norm():
             eigh(np.full((6, 6), 1e200, dtype=complex))
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (eigh, "eigh"),
+        (eigvalsh, "eigvalsh"),
+        (lambda mat: state_violations(mat, 2, 3), "state_violations"),
+    ],
+    ids=["eigh", "eigvalsh", "state_violations"],
+)
+def test_overflowing_norm_is_refused_in_the_callers_name(call, name):
+    # one function raises the refusal, with the name its caller passes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name}: the matrix's Frobenius norm overflows$"):
+            call(np.full((6, 6), 1e200, dtype=complex))
+
+
 def test_eigh_budget_exhaustion_raises(monkeypatch):
     rng = np.random.default_rng(11)
     h = random_hermitian(rng, 12)

@@ -40,3 +40,17 @@ def test_random_probability_vector():
 def test_random_unitary_is_unitary(dim):
     u = sampling.random_unitary(sampling.generator(dim), dim)
     assert np.allclose(u.conj().T @ u, np.eye(dim), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "seed", [None, True, np.bool_(False), 1.5, np.float64(2.0), -1, np.int64(-3), "1", [1, 2]]
+)
+def test_generator_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got "):
+        sampling.generator(seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**70, np.int64(9), np.uint64(9)])
+def test_generator_takes_any_non_negative_integer(seed):
+    expected = np.random.Generator(np.random.PCG64(int(seed))).random(4)
+    assert np.array_equal(sampling.generator(seed).random(4), expected)

@@ -236,6 +236,44 @@ def test_factories_refuse_a_count_that_is_not_an_integer(monkeypatch, call, name
             call(*counts)
 
 
+@pytest.mark.parametrize("counts", [(0, 0, 1), (-5, 3, 2)])
+def test_find_extremal_candidate_refuses_non_positive_dimensions_before_bounding(
+    monkeypatch, counts
+):
+    # the draw refuses the dimensions, so the rank bound is never taken for
+    # them: neither math.isqrt's unnamed error nor the bound of |n|
+    monkeypatch.setattr(scaling, "parthasarathy_bound", None)
+    with pytest.raises(DimensionMismatch, match="^factor dimensions must be positive$"):
+        find_extremal_candidate(*counts, UNIFORM_23, seed=0)
+
+
+SEEDED_FACTORIES = pytest.mark.parametrize(
+    "draw",
+    [
+        lambda seed: random_kraus(2, 3, 2, seed).ops,
+        lambda seed: random_separable(2, 3, 2, seed).mat,
+        lambda seed: find_extremal_candidate(2, 3, 2, UNIFORM_23, seed=seed)[2].mat,
+    ],
+    ids=["random_kraus", "random_separable", "find_extremal_candidate"],
+)
+
+
+@pytest.mark.parametrize("seed", [None, True, np.bool_(True), 1.5, -1, np.int64(-1), "1"])
+@SEEDED_FACTORIES
+def test_factories_refuse_a_seed_that_is_not_a_non_negative_integer(monkeypatch, draw, seed):
+    # no draw from OS entropy, no bool taken as 0 or 1, and no unnamed
+    # numpy error; the bound is never reached
+    monkeypatch.setattr(scaling, "parthasarathy_bound", None)
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got "):
+        draw(seed)
+
+
+@pytest.mark.parametrize("seed", [np.int64(7), np.uint32(7), np.int8(7)])
+@SEEDED_FACTORIES
+def test_factories_take_a_numpy_integer_seed_as_its_value(draw, seed):
+    assert np.array_equal(draw(seed), draw(7))
+
+
 # ---------------------------------------------------------------------------
 # residuals
 
