@@ -47,8 +47,10 @@ class BipartiteState:
     Made only by the state rule (``_checked``), once the matrix passes it:
     ``validate_state`` and every factory of the package go through that
     rule, and calling the class or ``dataclasses.replace`` raises
-    ``TypeError``.  ``mat`` and its ascending ``spectrum`` are read-only.
-    Two states are equal only when they are the same object.
+    ``TypeError``.  ``mat``, the Hermitian part of the matrix the rule
+    checked, and its ascending ``spectrum`` are read-only; ``mat``, its
+    marginals and its partial transpose are exactly Hermitian.  Two states
+    are equal only when they are the same object.
     """
 
     dim_a: int
@@ -100,8 +102,8 @@ class PptReport:
 def state_violations(mat, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) -> List[Violation]:
     """Every density-matrix invariant that ``mat`` violates, in check order
     (dimensions, Hermiticity, positivity, trace).  Empty list means valid.
-    Raises ``ValueError`` if ``||mat||_F`` overflows or ``tol`` lies outside
-    (0, 1)."""
+    Raises ``ValueError`` if ``||mat||_F`` overflows, ``tol`` lies outside
+    (0, 1) or a factor dimension is not an integer (``check_counts``)."""
     return _checked(as_matrix(mat), dim_a, dim_b, tol)[0]
 
 
@@ -110,13 +112,14 @@ def _checked(
 ) -> Tuple[List[Violation], Optional[BipartiteState]]:
     """``state_violations`` of a matrix ``as_matrix`` has already converted
     and, when there are none, the state made from it: the only code that
-    makes a ``BipartiteState``, holding a read-only copy of ``mat``.
+    makes a ``BipartiteState``.
 
     One Hermiticity pass (``linalg._hermitian_split``) gives the scale
     ``max(1, ||mat||_F)``, the deviation from Hermitian and the Hermitian
-    part, whose LAPACK eigenvalues become the state's read-only
-    ``spectrum``."""
+    part, which becomes the state's read-only ``mat`` and whose LAPACK
+    eigenvalues become its read-only ``spectrum``."""
     check_tol(tol)
+    check_counts(dim_a=dim_a, dim_b=dim_b)
     if dim_a < 1 or dim_b < 1:
         return [Violation("dimension", "factor dimensions must be positive")], None
     d = dim_a * dim_b
@@ -151,11 +154,10 @@ def _checked(
         out.append(Violation("trace_not_one", f"trace is {trace.real:.12g}", trace.real))
     if out:
         return out, None
-    mat = mat.copy()
-    mat.setflags(write=False)
+    herm.setflags(write=False)
     spectrum.setflags(write=False)
     state = object.__new__(BipartiteState)
-    vars(state).update(dim_a=dim_a, dim_b=dim_b, mat=mat, spectrum=spectrum)
+    vars(state).update(dim_a=dim_a, dim_b=dim_b, mat=herm, spectrum=spectrum)
     return out, state
 
 

@@ -366,11 +366,18 @@ def cmd_demo(args) -> int:
     def check(name: str, passed: bool, detail: str) -> None:
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
+    def near(name: str, value, expected, limit=1e-12, deviation="max deviation") -> None:
+        """``check`` that ``value`` is within ``limit`` of ``expected`` entrywise,
+        showing the largest deviation, or the spectrum if ``deviation`` is None."""
+        value = np.asarray(value)
+        dev = float(np.abs(value - expected).max())
+        detail = (f"{deviation} {dev:.3e}" if deviation
+                  else f"spectrum {np.array2string(value, precision=6)}")
+        check(name, dev <= limit, detail)
+
     kmap = qm.cpmaps.extremal_qubit_qutrit_map()
-    dev_k = float(np.abs(qm.cpmaps.marginal_K(kmap) - np.eye(3) / 3).max())
-    check("marginal K equals identity/3", dev_k <= 1e-12, f"max deviation {dev_k:.3e}")
-    dev_l = float(np.abs(qm.cpmaps.marginal_L(kmap) - np.eye(2) / 2).max())
-    check("marginal L equals identity/2", dev_l <= 1e-12, f"max deviation {dev_l:.3e}")
+    near("marginal K equals identity/3", qm.cpmaps.marginal_K(kmap), np.eye(3) / 3)
+    near("marginal L equals identity/2", qm.cpmaps.marginal_L(kmap), np.eye(2) / 2)
 
     state = qm.cpmaps.choi_state(kmap, args.tol)
     expected = np.zeros((6, 6))
@@ -378,23 +385,17 @@ def cmd_demo(args) -> int:
     expected[1, 1] = expected[4, 4] = 1.0 / 6.0
     expected[2, 2] = expected[3, 3] = 1.0 / 3.0
     expected[1, 3] = expected[3, 1] = expected[2, 4] = expected[4, 2] = c
-    dev_state = float(np.abs(state.mat - expected).max())
-    check("composite state matches its closed form", dev_state <= 1e-14,
-          f"max entry deviation {dev_state:.3e}")
+    near("composite state matches its closed form", state.mat, expected, 1e-14,
+         "max entry deviation")
 
     # every state-level verdict is read from the report verify-state prints
     analysis = _analyze_state(state, args.tol, kmap)
     for factor, dim in (("A", 2), ("B", 3)):
-        marginal = qm.linalg.matrix_from_json(analysis[f"marginal_{factor.lower()}"])
-        dev = float(np.abs(marginal - np.eye(dim) / dim).max())
-        check(f"state marginal on {factor} is identity/{dim}", dev <= 1e-12,
-              f"max deviation {dev:.3e}")
-
-    spectrum = np.array(analysis["eigenvalues"])
-    expected_spec = np.array([0.0, 0.0, 0.0, 0.0, 0.5, 0.5])
-    dev_spec = float(np.abs(spectrum - expected_spec).max())
-    check("eigenvalues are (0, 0, 0, 0, 1/2, 1/2)", dev_spec <= 1e-12,
-          f"spectrum {np.array2string(spectrum, precision=6)}")
+        near(f"state marginal on {factor} is identity/{dim}",
+             qm.linalg.matrix_from_json(analysis[f"marginal_{factor.lower()}"]),
+             np.eye(dim) / dim)
+    near("eigenvalues are (0, 0, 0, 0, 1/2, 1/2)", analysis["eigenvalues"],
+         [0.0, 0.0, 0.0, 0.0, 0.5, 0.5], deviation=None)
 
     rank, bound = analysis["rank"], analysis["rank_bound"]
     check("rank is 2", rank == 2, f"rank {rank}")
@@ -402,11 +403,8 @@ def cmd_demo(args) -> int:
           f"{rank} <= {bound['bound']}")
 
     ppt = analysis["ppt"]
-    pt_spectrum = np.array(ppt["spectrum"])
-    expected_pt = np.array([-1 / 6, -1 / 6, 1 / 3, 1 / 3, 1 / 3, 1 / 3])
-    dev_pt = float(np.abs(pt_spectrum - expected_pt).max())
-    check("partial transpose spectrum is (-1/6 x2, 1/3 x4)", dev_pt <= 1e-12,
-          f"spectrum {np.array2string(pt_spectrum, precision=6)}")
+    near("partial transpose spectrum is (-1/6 x2, 1/3 x4)", ppt["spectrum"],
+         [-1 / 6, -1 / 6, 1 / 3, 1 / 3, 1 / 3, 1 / 3], deviation=None)
     check("verdict is entangled", ppt["verdict"] == "entangled", f"verdict {ppt['verdict']}")
 
     single = qm.cpmaps.choi_extremality(kmap, args.tol)

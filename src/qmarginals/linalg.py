@@ -7,7 +7,7 @@ basis order is the package's).  Kept here:
 * ``as_matrix``: numpy's conversion refuses neither NaN/inf nor a shape.
 * The Hermitian contract (``_hermitian_split``, ``_hermitian_part``):
   ``numpy.linalg.eigh`` reads one triangle and checks nothing.  The state
-  validator reads the split too, so a state's Hermiticity is checked once.
+  rule judges the split once and keeps its Hermitian part as the state.
 * The rank rule ``rank_of_values`` with the margins ``matrix_rank`` does
   not report, for a state's spectrum and, in ``rank_with_margin``, LAPACK
   singular values.  Sinkhorn's support counts use

@@ -64,10 +64,10 @@ class ScalingConfig:
     whose B-marginal is ``target_K`` and whose A-marginal is the entrywise
     conjugate of ``target_L``.
 
-    Each target's Hermitian part is diagonalised once, by LAPACK
-    (``numpy.linalg.eigh``), and two results are kept: its spectrum,
-    clipped at zero, and its principal square root, which
-    ``sinkhorn_scale`` reads instead of diagonalising the target again.
+    Each target is kept as the rule's read-only ``mat``, its Hermitian
+    part, and diagonalised once by LAPACK (``numpy.linalg.eigh``): its
+    spectrum, clipped at zero, and its principal square root are kept, and
+    ``sinkhorn_scale`` reads the root instead of diagonalising again.
     """
 
     target_K: np.ndarray  # m x m, for sum V^dagger V
@@ -88,8 +88,8 @@ class ScalingConfig:
             mat = as_matrix(getattr(self, name))
             if mat.shape[0] != mat.shape[1]:
                 raise DimensionMismatch(f"{name} must be square, got {mat.shape}")
-            mat = _validated(mat, 1, len(mat), 1e-12, f"{name}: ").mat  # a read-only copy
-            values, vectors = np.linalg.eigh((mat + mat.conj().T) / 2)
+            mat = _validated(mat, 1, len(mat), 1e-12, f"{name}: ").mat
+            values, vectors = np.linalg.eigh(mat)
             values = np.clip(values, 0.0, None)
             root = (vectors * np.sqrt(values)) @ vectors.conj().T
             kept = {name: mat, f"_spectrum_{side}": values, f"_root_{side}": root}

@@ -21,6 +21,7 @@ from qmarginals import (
     bipartite,
     check_rank_bound,
     choi_state,
+    kraus_from_state,
     max_entangled_projector,
     numerical_rank,
     parthasarathy_bound,
@@ -31,6 +32,7 @@ from qmarginals import (
     ppt_check,
     random_kraus,
     random_separable,
+    rank_of_values,
     sampling,
     state_from_json,
     state_to_json,
@@ -339,12 +341,13 @@ def test_max_entangled_rejects_non_unitary():
 
 def _frozen_projector(f_basis):
     """The projector's matrix and spectrum as built before it went through
-    the state rule: the outer product and the LAPACK eigenvalues of its
-    Hermitian part."""
+    the state rule: the Hermitian part of the outer product and its LAPACK
+    eigenvalues."""
     f = np.asarray(f_basis, dtype=np.complex128)
     vec = f.T.ravel() / np.sqrt(2.0)
-    mat = np.outer(vec, vec.conj())
-    return mat, np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
+    outer = np.outer(vec, vec.conj())
+    mat = (outer + outer.conj().T) / 2.0
+    return mat, np.linalg.eigvalsh(mat)
 
 
 def _unitarity_ratio(f, tol):
@@ -507,6 +510,37 @@ def test_non_positive_factor_dimensions_are_a_dimension_violation(dims):
     ]
     with pytest.raises(DimensionMismatch, match="^factor dimensions must be positive$"):
         validate_state(mat, *dims)
+
+
+@pytest.mark.parametrize(
+    "rule, dims, name",
+    [
+        (state_violations, (2.5, 2.4), "dim_a"),
+        (validate_state, (2.0, 3), "dim_a"),
+        (validate_state, (True, 6), "dim_a"),
+        (validate_state, (2, 3.0), "dim_b"),
+    ],
+)
+def test_non_integer_factor_dimensions_are_refused_by_name(rule, dims, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got "):
+        rule(np.eye(6) / 6, *dims)
+    state = validate_state(np.eye(6) / 6, np.int64(2), np.int64(3))
+    assert np.array_equal(partial_trace_b(state), np.eye(2) / 2)
+
+
+def test_state_accepted_at_a_loose_tol_gets_verdicts_at_the_default(example_state):
+    """A state the rule accepts at 1e-4 although it is 1e-6 off Hermitian
+    is the Hermitian matrix it was judged as: every later default-tol
+    verdict holds, and its matrix has the rank of its spectrum."""
+    mat = np.array(example_state.mat)
+    mat[1, 3] += 1e-6j
+    mat[3, 1] += 1e-6j
+    state = validate_state(mat, 2, 3, tol=1e-4)
+    assert np.array_equal(state.mat, example_state.mat)
+    assert perturbation_freedom_dim(state) == 0
+    assert kraus_from_state(state).r == 2
+    assert ppt_check(state).verdict == "entangled"
+    assert numerical_rank(state.mat) == rank_of_values(state.spectrum).rank == 2
 
 
 # ---------------------------------------------------------------------------

@@ -36,11 +36,16 @@ from qmarginals import (
     matrix_from_json,
     matrix_to_json,
     mix_ops,
+    max_entangled_projector,
     numerical_rank,
     parthasarathy_bound,
+    partial_trace_a,
+    partial_trace_b,
+    partial_transpose_b,
     perturbation_freedom_dim,
     ppt_check,
     random_kraus,
+    random_separable,
     rank_with_margin,
     state_from_json,
     state_to_json,
@@ -273,6 +278,30 @@ def test_state_json_round_trip_is_exact(n, m, seed):
     again = state_from_json(_through_text(state_to_json(state)))
     assert (again.dim_a, again.dim_b) == (n, m)
     assert _same_bits(again.mat, state.mat)
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(1, 4), m=st.integers(1, 4), r=st.integers(1, 4), seed=SEEDS)
+@example(n=2, m=3, r=2, seed=0)
+def test_every_factory_makes_an_exactly_hermitian_state(n, m, r, seed):
+    """A state is the Hermitian part the rule checked, so it, its marginals
+    and its partial transpose equal their adjoints bit for bit, whatever
+    rounding the factory's own arithmetic left."""
+    rng = sampling.generator(seed)
+    made = [
+        validate_state(sampling.random_density_matrix(rng, n * m), n, m),
+        choi_state(random_kraus(n, m, r, seed)),
+        random_separable(n, m, r, seed),
+        max_entangled_projector(sampling.random_unitary(rng, 2)),
+    ]
+    for state in made + [state_from_json(state_to_json(s)) for s in made]:
+        for x in (
+            state.mat,
+            partial_trace_a(state),
+            partial_trace_b(state),
+            partial_transpose_b(state),
+        ):
+            assert np.array_equal(x, x.conj().T)
 
 
 @PROPERTY_SETTINGS
