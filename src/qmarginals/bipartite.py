@@ -16,9 +16,8 @@ A state comes only from the state rule, ``_checked``, which every factory
 here and in ``cpmaps`` goes through, and always carries its spectrum,
 ``BipartiteState.spectrum``: the LAPACK eigenvalues of the rule's
 positivity check, which the rank bound, the oracle's support and the Kraus
-recovery read.  The partial-transpose spectrum goes through
-``linalg.eigvalsh`` and the support basis through ``linalg.eigh``
-(``_support``); this module has no cutoff of its own.
+recovery read.  Which eigen-solver answers which question is said once,
+in the ``linalg`` module docstring; this module has no cutoff of its own.
 """
 
 import math
@@ -29,7 +28,7 @@ import numpy as np
 
 from . import check_tol, linalg, sampling
 from .errors import DimensionMismatch, NotHermitian, NotPSD, TraceNotOne
-from .linalg import DEFAULT_TOL, as_matrix, check_counts, eigh, eigvalsh, numerical_rank
+from .linalg import DEFAULT_TOL, as_matrix, check_counts, check_dims, eigh, numerical_rank
 
 #: Factor-dimension pairs where PPT is necessary *and sufficient* for
 #: separability, besides a 1-dimensional factor (every state a product).
@@ -218,9 +217,12 @@ def ppt_check(state: BipartiteState, tol: float = DEFAULT_TOL) -> PptReport:
     A negative eigenvalue certifies entanglement in any dimension.  A
     positive partial transpose certifies separability at 2x2, 2x3 and with
     a 1-dimensional factor; anywhere else the verdict stays "inconclusive".
+    The exactly Hermitian ``state.mat`` has an exactly Hermitian partial
+    transpose, which LAPACK reads unchecked.
     """
+    check_tol(tol)
     pt = partial_transpose_b(state)
-    spectrum = eigvalsh(pt, tol)
+    spectrum = np.linalg.eigvalsh(pt)
     lam_min = float(spectrum[0])
     threshold = -tol * max(1.0, float(np.linalg.norm(pt)))
     is_ppt = lam_min >= threshold
@@ -246,7 +248,8 @@ def max_entangled_projector(f_basis, tol: float = DEFAULT_TOL) -> BipartiteState
 
 def parthasarathy_bound(dim_a: int, dim_b: int) -> int:
     """Largest rank an extreme point of a fixed-marginals state set can
-    have: floor(sqrt(dim_a^2 + dim_b^2 - 1))."""
+    have: floor(sqrt(dim_a^2 + dim_b^2 - 1)), dimensions per ``check_dims``."""
+    check_dims(dim_a=dim_a, dim_b=dim_b)
     return math.isqrt(dim_a * dim_a + dim_b * dim_b - 1)
 
 
@@ -299,9 +302,8 @@ def random_separable(dim_a: int, dim_b: int, k: int, seed: int) -> BipartiteStat
     Any k >= 1 is accepted; nothing ties the number of terms to the factor
     dimensions.
     """
-    check_counts(dim_a=dim_a, dim_b=dim_b, k=k)
-    if dim_a < 1 or dim_b < 1:
-        raise DimensionMismatch("factor dimensions must be positive")
+    check_dims(dim_a=dim_a, dim_b=dim_b)
+    check_counts(k=k)
     if k < 1:
         raise ValueError("need at least one product term")
     rng = sampling.generator(seed)

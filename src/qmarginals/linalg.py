@@ -5,25 +5,31 @@ are numpy's (``numpy.linalg.norm``, ``.conj().T``, ``numpy.kron``, whose
 basis order is the package's).  Kept here:
 
 * ``as_matrix``: numpy's conversion refuses neither NaN/inf nor a shape.
-* The Hermitian contract (``_hermitian_split``, ``_hermitian_part``):
-  ``numpy.linalg.eigh`` reads one triangle and checks nothing.  The state
-  rule judges the split once and keeps its Hermitian part as the state.
+* The Hermitian contract ``_hermitian_split``: ``numpy.linalg.eigh`` reads
+  one triangle and checks nothing.  The state rule judges the split once
+  and keeps its Hermitian part as the state.
 * The rank rule ``rank_of_values`` with the margins ``matrix_rank`` does
   not report, for a state's spectrum and, in ``rank_with_margin``, LAPACK
   singular values.  Sinkhorn's support counts use
   ``DEFAULT_TOL * max(1, largest)`` instead (``scaling._support_mask``).
 * The unitarity rule ``_unitary``, the wire format (``matrix_to_json``,
   ``matrix_from_json``) and the count rules: numpy has none of them.
-* ``eigh``, the Jacobi kernel, until it becomes ``numpy.linalg.eigh``.
-  Which eigen-solver answers which question is said once, at ``eigvalsh``
-  (eigenvalues only, LAPACK) and ``eigh`` (eigenvectors, Jacobi).
+
+Which eigen-solver answers which question, said here once.  Eigenvalues
+only: LAPACK (``numpy.linalg.eigvalsh``) in ``bipartite``, on matrices the
+state rule made exactly Hermitian, so nothing is left to check: a state's
+spectrum once, in the rule (``BipartiteState.spectrum``), and the partial
+transpose's in ``ppt_check``.  Eigenvectors: ``eigh``, the Jacobi kernel
+until it becomes ``numpy.linalg.eigh``, the one entry for a bare matrix,
+which checks its input itself; its one caller is ``bipartite._support``.
+A Sinkhorn target's roots: LAPACK (``numpy.linalg.eigh``) in
+``scaling.ScalingConfig``, on the Hermitian part the state rule kept.
 
 All tolerances are relative and flow in as parameters, except the Sinkhorn
 search's, which is ``DEFAULT_TOL``, the single documented default.  It is
 defined in the package root, where the CLI reads it without numpy, and
 re-exported here.  Every tolerance obeys the package's one rule
-(``check_tol``: 0 < tol < 1), which ``_hermitian_part`` and
-``rank_of_values`` apply.
+(``check_tol``: 0 < tol < 1), which ``eigh`` and ``rank_of_values`` apply.
 """
 
 import math
@@ -112,8 +118,8 @@ def _jacobi_cyclic(a: np.ndarray, v: np.ndarray, max_sweeps: int, off_tol: float
 
 
 def _hermitian_split(h: np.ndarray, name: str) -> Tuple[np.ndarray, float, float]:
-    """The core of the input contract of ``eigh``, ``eigvalsh`` and the
-    state rule, for a square complex128 matrix ``h``: its Hermitian part
+    """The core of the input contract of ``eigh`` and the state rule, for a
+    square complex128 matrix ``h``: its Hermitian part
     ``(h + h^dagger) / 2``, ``||h||_F`` and ``||h - h^dagger||_F``
     (``numpy.linalg.norm``).  An overflowing norm (finite entries, above
     about 1.3e154) raises, warning-free, ``ValueError`` naming ``name``."""
@@ -125,54 +131,38 @@ def _hermitian_split(h: np.ndarray, name: str) -> Tuple[np.ndarray, float, float
         return (h + adj) / 2.0, norm, float(np.linalg.norm(h - adj))
 
 
-def _hermitian_part(h, tol: float, name: str) -> Tuple[np.ndarray, float]:
-    """The input contract shared by ``eigh`` and ``eigvalsh``.
-
-    Returns the Hermitian part ``(h + h^dagger) / 2`` and ``||h||_F``
-    from ``_hermitian_split``, which refuses an overflowing ``||h||_F``.
-    Raises ``DimensionMismatch`` for a non-square matrix and
-    ``NotHermitian`` if ``h`` deviates from Hermitian by more than
-    ``tol * max(1, ||h||_F)``.  A ``tol`` outside (0, 1) is refused
-    (``check_tol``).
-    """
-    check_tol(tol)
-    h = as_matrix(h)
-    if h.shape[0] != h.shape[1]:
-        raise DimensionMismatch(f"{name} needs a square matrix, got {h.shape}")
-    herm, norm, deviation = _hermitian_split(h, name)
-    limit = tol * max(1.0, norm)
-    if deviation > limit:
-        raise NotHermitian(
-            f"matrix deviates from Hermitian by {deviation:.3e} (limit {limit:.3e})"
-        )
-    return herm, norm
-
-
 def eigh(h: np.ndarray, tol: float = DEFAULT_TOL) -> Tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations:
     the pair ``(eigenvalues, eigenvectors)`` that ``numpy.linalg.eigh``
     returns, eigenvalues ascending and column k of the unitary paired with
     eigenvalue k, so that ``h`` equals U diag(w) U^dagger within tolerance.
 
-    For callers that read eigenvectors; a caller that needs eigenvalues
-    only uses ``eigvalsh``, which has the same input contract.  A single
-    pure-Python kernel, due to become ``numpy.linalg.eigh``: its rotation
-    count is easy to audit, but every rotation is a few numpy calls, so a
-    256 x 256 state takes about 9 s on a 2-core host.  Its one caller is
-    ``bipartite._support``, the support basis behind the perturbation
-    oracle and the Kraus recovery; the Sinkhorn targets' roots come from
-    LAPACK (``numpy.linalg.eigh``) in ``scaling.ScalingConfig``.
-    Deterministic for a fixed input: sweeps run in a fixed pivot order and
-    stop once the off-diagonal Frobenius norm drops below
-    ``JACOBI_OFF_FACTOR * ||h||_F``.  Within degenerate eigenvalue clusters
-    the eigenvector order is whatever the rotation sequence produces.
+    The package's eigenvector solve (the module docstring says which
+    solver answers which question), on the Hermitian part
+    ``(h + h^dagger) / 2``.  A pure-Python kernel: its rotation count is
+    easy to audit, but every rotation is a few numpy calls, so a 256 x 256
+    state takes about 9 s on a 2-core host.  Deterministic for a fixed
+    input: sweeps run in a fixed pivot order and stop once the off-diagonal
+    Frobenius norm drops below ``JACOBI_OFF_FACTOR * ||h||_F``.  Within
+    degenerate eigenvalue clusters the eigenvector order is whatever the
+    rotation sequence produces.
 
-    Raises ``ValueError`` if ``||h||_F`` overflows (finite entries,
-    norm above about 1.3e154), since the stopping threshold would be inf;
-    ``NotHermitian`` if ``h`` is not Hermitian within ``tol``; and
-    ``NoConvergence`` if ``JACOBI_MAX_SWEEPS`` sweeps do not suffice.
+    Raises ``ValueError`` for a ``tol`` outside (0, 1) (``check_tol``) or
+    an overflowing ``||h||_F`` (finite entries, norm above about 1.3e154),
+    since the stopping threshold would be inf; ``DimensionMismatch`` for a
+    non-square matrix; ``NotHermitian`` beyond ``tol * max(1, ||h||_F)``;
+    and ``NoConvergence`` if ``JACOBI_MAX_SWEEPS`` sweeps do not suffice.
     """
-    herm, norm = _hermitian_part(h, tol, "eigh")
+    check_tol(tol)
+    h = as_matrix(h)
+    if h.shape[0] != h.shape[1]:
+        raise DimensionMismatch(f"eigh needs a square matrix, got {h.shape}")
+    herm, norm, deviation = _hermitian_split(h, "eigh")
+    limit = tol * max(1.0, norm)
+    if deviation > limit:
+        raise NotHermitian(
+            f"matrix deviates from Hermitian by {deviation:.3e} (limit {limit:.3e})"
+        )
     work = np.ascontiguousarray(herm)
     vecs = np.eye(work.shape[0], dtype=np.complex128)
     sweeps = _jacobi_cyclic(work, vecs, JACOBI_MAX_SWEEPS, JACOBI_OFF_FACTOR * norm)
@@ -181,23 +171,6 @@ def eigh(h: np.ndarray, tol: float = DEFAULT_TOL) -> Tuple[np.ndarray, np.ndarra
     values = np.diagonal(work).real.copy()
     order = np.argsort(values, kind="stable")
     return values[order], np.ascontiguousarray(vecs[:, order])
-
-
-def eigvalsh(h: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, from LAPACK
-    (``numpy.linalg.eigvalsh``) on its Hermitian part.
-
-    Questions that read eigenvalues only go to LAPACK: a state's once, in
-    the state rule (``bipartite._checked``), kept as
-    ``BipartiteState.spectrum``; any other matrix, the partial transpose
-    say, through this function.
-
-    Same input contract as ``eigh``: ``DimensionMismatch`` for a non-square
-    matrix, ``ValueError`` if ``||h||_F`` overflows, ``NotHermitian``
-    beyond ``tol * max(1, ||h||_F)``.
-    """
-    herm, _ = _hermitian_part(h, tol, "eigvalsh")
-    return np.linalg.eigvalsh(herm)
 
 
 def _unitary(value, size: int, tol: float, name: str) -> np.ndarray:
@@ -233,8 +206,11 @@ def rank_of_values(values: np.ndarray, tol: float = DEFAULT_TOL) -> RankDecision
     retained and counts as zero in a margin; all-zero input gives
     ``(0, None, 0.0)``.  Squared as Python floats, so that past about 1.3e154
     a margin is inf without numpy's overflow warning.  A ``tol`` outside
-    (0, 1) is refused (``check_tol``)."""
+    (0, 1) is refused (``check_tol``), and so are empty ``values``
+    (``ValueError``)."""
     check_tol(tol)
+    if len(values) == 0:
+        raise ValueError("values must not be empty")
     rank = int(np.count_nonzero(values > tol * max(float(values[-1]), 0.0)))
     kept = float(values[-rank]) if rank else None
     dropped = max(float(values[-rank - 1]), 0.0) if rank < len(values) else None
@@ -286,6 +262,14 @@ def check_counts(**counts) -> None:
     for name, value in counts.items():
         if not _is_int(value):
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
+def check_dims(**dims) -> None:
+    """The factor-dimension rule: ``check_counts(**dims)``, then
+    ``DimensionMismatch`` if any of ``dims`` is below 1."""
+    check_counts(**dims)
+    if min(dims.values()) < 1:
+        raise DimensionMismatch("factor dimensions must be positive")
 
 
 def _wire_fields(obj, kind: str, fields: Tuple[str, ...]) -> list:

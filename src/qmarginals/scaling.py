@@ -46,7 +46,7 @@ from .cpmaps import (
     doubly_constrained_extremality,
 )
 from .errors import DimensionMismatch, InfeasibleRank, NoConvergence, SingularScaling
-from .linalg import DEFAULT_TOL, as_matrix, check_counts, is_positive_int
+from .linalg import DEFAULT_TOL, as_matrix, check_counts, check_dims, is_positive_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,9 +162,8 @@ def random_kraus(n: int, m: int, r: int, seed: int) -> KrausMap:
     """``r`` seeded Ginibre operators of shape n x m, normalized globally so
     the trace of sum V^dagger V is exactly 1.  Bit-for-bit deterministic per
     seed, which must be a non-negative integer (``sampling.generator``)."""
-    check_counts(n=n, m=m, r=r)
-    if n < 1 or m < 1:
-        raise DimensionMismatch("factor dimensions must be positive")
+    check_dims(n=n, m=m)
+    check_counts(r=r)
     if r < 1:
         raise ValueError("need at least one operator")
     rng = sampling.generator(seed)
@@ -383,12 +382,18 @@ def find_extremal_candidate(
     return scaled, verdict, state
 
 
-@functools.lru_cache(maxsize=64)
 def uniform_targets(n: int, m: int) -> ScalingConfig:
     """Config steering toward the maximally mixed marginals 1_m/m, 1_n/n.
 
     Built once per ``(n, m)`` (the 64 most recently used shapes are kept)
     and the same object is returned on every later call: a
     ``ScalingConfig`` is frozen and its arrays are read-only, so sharing it
-    is safe, and a search over one shape diagonalises its targets once."""
+    is safe, and a search over one shape diagonalises its targets once.
+    ``check_dims`` runs before the cache, which takes ``2.0`` for ``2``."""
+    check_dims(n=n, m=m)
+    return _uniform_targets(n, m)
+
+
+@functools.lru_cache(maxsize=64)
+def _uniform_targets(n: int, m: int) -> ScalingConfig:
     return ScalingConfig(np.eye(m, dtype=np.complex128) / m, np.eye(n, dtype=np.complex128) / n)

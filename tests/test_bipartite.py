@@ -408,6 +408,21 @@ def test_parthasarathy_bound_values():
     assert parthasarathy_bound(3, 3) == 4  # floor(sqrt(17))
 
 
+@pytest.mark.parametrize(
+    "dims, error, message",
+    [
+        ((0, 0), DimensionMismatch, "factor dimensions must be positive"),
+        ((-5, 3), DimensionMismatch, "factor dimensions must be positive"),
+        ((2.0, 3), ValueError, "dim_a must be a positive integer, got 2.0"),
+        ((2, True), ValueError, "dim_b must be a positive integer, got True"),
+    ],
+)
+def test_parthasarathy_bound_refuses_a_bad_dimension_by_name(dims, error, message):
+    # not math.isqrt's unnamed error, nor the bound of |dim_a|
+    with pytest.raises(error, match=f"^{message}$"):
+        parthasarathy_bound(*dims)
+
+
 def test_check_rank_bound(example_state):
     assert check_rank_bound(example_state)
     assert not check_rank_bound(maximally_mixed(2, 3))

@@ -18,7 +18,6 @@ from qmarginals import (
     choi_state,
     doubly_constrained_extremality,
     eigh,
-    eigvalsh,
     extremal_qubit_qutrit_map,
     kraus_from_state,
     matrix_from_json,
@@ -128,10 +127,9 @@ def test_eigh_refuses_overflowing_norm():
     "call, name",
     [
         (eigh, "eigh"),
-        (eigvalsh, "eigvalsh"),
         (lambda mat: state_violations(mat, 2, 3), "state_violations"),
     ],
-    ids=["eigh", "eigvalsh", "state_violations"],
+    ids=["eigh", "state_violations"],
 )
 def test_overflowing_norm_is_refused_in_the_callers_name(call, name):
     # one function raises the refusal, with the name its caller passes
@@ -149,8 +147,18 @@ def test_eigh_budget_exhaustion_raises(monkeypatch):
         eigh(h)
 
 
+def test_eigh_tolerates_deviation_within_tol():
+    # the Hermitian part (h + h^dagger) / 2 is diagonalised; on a degenerate
+    # diagonal its off-diagonal half moves the eigenvalues at first order,
+    # where one triangle alone would give (1, 1)
+    h = np.array([[1.0, 1e-9], [0.0, 1.0]], dtype=complex)
+    assert np.abs(eigh(h)[0] - [1 - 5e-10, 1 + 5e-10]).max() <= 1e-15
+    with pytest.raises(NotHermitian):
+        eigh(h, tol=1e-10)
+
+
 # ---------------------------------------------------------------------------
-# eigvalsh: LAPACK eigenvalues under the input contract of eigh
+# Jacobi eigh against LAPACK's eigenvalues (numpy.linalg.eigvalsh)
 
 EIGVALSH_SETTINGS = settings(deadline=None, derandomize=True, max_examples=60)
 
@@ -177,7 +185,7 @@ def hermitian_inputs(draw):
 @given(hermitian_inputs())
 def test_eigvalsh_matches_jacobi_eigh(h):
     # two independent kernels: LAPACK and the pure-Python Jacobi rotations
-    values = eigvalsh(h)
+    values = np.linalg.eigvalsh(h)
     assert values.dtype == np.float64 and values.shape == (h.shape[0],)
     assert np.all(np.diff(values) >= 0.0)
     scale = max(1.0, np.linalg.norm(h))
@@ -187,36 +195,11 @@ def test_eigvalsh_matches_jacobi_eigh(h):
 @EIGVALSH_SETTINGS
 @given(hermitian_inputs())
 def test_eigvalsh_sums_to_trace_and_frobenius(h):
-    values = eigvalsh(h)
+    values = np.linalg.eigvalsh(h)
     norm = np.linalg.norm(h)
     scale = max(1.0, norm)
     assert abs(values.sum() - np.trace(h).real) <= 1e-12 * scale
     assert abs(np.sum(values**2) - norm**2) <= 1e-12 * scale**2
-
-
-def test_eigvalsh_rejects_non_hermitian_and_non_square():
-    with pytest.raises(NotHermitian, match="limit"):
-        eigvalsh(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-    with pytest.raises(DimensionMismatch, match="square"):
-        eigvalsh(np.zeros((2, 3), dtype=complex))
-
-
-def test_eigvalsh_tolerates_deviation_within_tol():
-    # the Hermitian part (h + h^dagger) / 2 is diagonalised, as in eigh; on a
-    # degenerate diagonal its off-diagonal half moves the eigenvalues at
-    # first order, where one triangle alone would give (1, 1)
-    h = np.array([[1.0, 1e-9], [0.0, 1.0]], dtype=complex)
-    assert np.abs(eigvalsh(h) - [1 - 5e-10, 1 + 5e-10]).max() <= 1e-15
-    assert np.abs(eigvalsh(h) - eigh(h)[0]).max() <= 1e-15
-    with pytest.raises(NotHermitian):
-        eigvalsh(h, tol=1e-10)
-
-
-def test_eigvalsh_refuses_overflowing_norm():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="norm overflows"):
-            eigvalsh(np.full((6, 6), 1e200, dtype=complex))
 
 
 @EIGVALSH_SETTINGS
@@ -322,6 +305,11 @@ def test_rank_of_values_never_counts_a_negative_value(values, expected):
     assert tuple(rank_of_values(np.array(values))) == expected
 
 
+def test_rank_of_values_refuses_empty_values():
+    with pytest.raises(ValueError, match="^values must not be empty$"):
+        rank_of_values(np.array([]))
+
+
 def test_rank_of_values_overflows_to_inf_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -407,7 +395,6 @@ TOL_ENTRY_POINTS = {
     "rank_with_margin": lambda tol: rank_with_margin(np.eye(2), tol),
     "numerical_rank": lambda tol: numerical_rank(np.eye(2), tol),
     "eigh": lambda tol: eigh(np.eye(2), tol),
-    "eigvalsh": lambda tol: eigvalsh(np.eye(2), tol),
     "validate_state": lambda tol: validate_state(np.diag([5.0, -3.0]), 1, 2, tol),
     "state_violations": lambda tol: state_violations(np.diag([5.0, -3.0]), 1, 2, tol),
     "max_entangled_projector": lambda tol: max_entangled_projector(np.eye(2), tol),

@@ -302,6 +302,10 @@ def test_every_factory_makes_an_exactly_hermitian_state(n, m, r, seed):
             partial_transpose_b(state),
         ):
             assert np.array_equal(x, x.conj().T)
+        # so LAPACK on the bare partial transpose gives, bit for bit, the
+        # spectrum of its Hermitian part
+        pt = partial_transpose_b(state)
+        assert np.array_equal(ppt_check(state).spectrum, np.linalg.eigvalsh((pt + pt.conj().T) / 2))
 
 
 @PROPERTY_SETTINGS

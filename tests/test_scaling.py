@@ -734,6 +734,30 @@ def test_polar_support_matches_the_mask_rule_at_the_cutoff(shape, largest, facto
         assert len(vh) == (p if factor > 1.0 else p - 1)
 
 
+@pytest.mark.parametrize(
+    "dims, error, message",
+    [
+        ((2.0, 3), ValueError, "n must be a positive integer, got 2.0"),
+        ((True, 3), ValueError, "n must be a positive integer, got True"),
+        ((2, 3.0), ValueError, "m must be a positive integer, got 3.0"),
+        ((-1, 3), DimensionMismatch, "factor dimensions must be positive"),
+        ((2, 0), DimensionMismatch, "factor dimensions must be positive"),
+    ],
+)
+@pytest.mark.parametrize("cached_first", [False, True], ids=["cold", "cached"])
+def test_uniform_targets_refuses_a_bad_dimension_whatever_the_cache_holds(
+    dims, error, message, cached_first
+):
+    # the cache keys 2.0 as 2 and True as 1, so the rule runs before it
+    scaling._uniform_targets.cache_clear()
+    if cached_first:
+        uniform_targets(2, 3)
+        uniform_targets(1, 3)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        uniform_targets(*dims)
+    assert uniform_targets(2, 3) is uniform_targets(np.int64(2), np.int64(3))
+
+
 def test_uniform_targets_are_built_once_per_shape():
     config = uniform_targets(3, 4)
     assert uniform_targets(3, 4) is config
